@@ -3,10 +3,10 @@
 Scan a uniformly random ordering of a graph's edges and keep each edge that
 touches at least one vertex untouched by the earlier kept edges; the kept
 edges form a spanning forest.  This package computes the distribution of
-the forest's component count exactly (brute force and a memoized
-edge-deletion recurrence over isomorphism classes), evaluates the known
-closed forms, estimates by seeded simulation, and searches small graphs for
-distribution coincidences.
+the forest's component count exactly (local-minimum sums over the matchings
+of the line graph, with brute force and the edge-deletion recurrence as
+oracles), evaluates the known closed forms, estimates by seeded simulation,
+and searches small graphs for distribution coincidences.
 """
 
 from .distribution import ForestDistribution, convolve, format_fraction, parse_fraction
@@ -20,6 +20,7 @@ from .engine import (
     run_process,
     single_component_probability,
 )
+from .recurrence import recurrence_distribution
 from .graphs import (
     CHEEGER_VERTEX_CAP,
     Graph,
@@ -94,6 +95,7 @@ __all__ = [
     "parse_graph6",
     "path_graph",
     "random_regular_graph",
+    "recurrence_distribution",
     "run_process",
     "serialize_graph6",
     "single_component_probability",

@@ -51,6 +51,14 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _seed(text: str) -> int:
+    """argparse type for seeds: an integer in 0..2^64-1, so none alias modulo 2^64."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in 0..2^64-1, got {value}")
+    return value
+
+
 _FAMILIES = ["kn", "kst", "multipartite", "path", "cycle", "star", "plus-edge", "gnm", "regular"]
 
 
@@ -68,7 +76,7 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, action=_Once, help="gnm: edge count")
     sub.add_argument("--d", type=int, action=_Once, help="regular: degree")
     sub.add_argument("--parts", action=_Once, help="multipartite: sizes, e.g. 3,3,3")
-    sub.add_argument("--graph-seed", type=int, action=_Once,
+    sub.add_argument("--graph-seed", type=_seed, action=_Once,
                      help="seed for gnm/regular families")
 
 
@@ -84,7 +92,7 @@ def _need(ns: argparse.Namespace, *names: str) -> list[int]:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
@@ -121,7 +129,11 @@ def _graph_from_args(ns: argparse.Namespace) -> Graph:
     if ns.g6 is not None:
         return parse_graph6(ns.g6)
     if ns.edges is not None:
-        return parse_edge_list(Path(ns.edges).read_text())
+        try:
+            text = Path(ns.edges).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read --edges file {ns.edges!r}: {exc.strerror}")
+        return parse_edge_list(text)
     return _family_graph(ns)
 
 
@@ -228,8 +240,6 @@ def _cmd_gnm_sim(ns: argparse.Namespace) -> str:
 
 def _cmd_decay(ns: argparse.Namespace) -> str:
     n_values = _parse_int_list(ns.n_values, "--n-values")
-    if not n_values:
-        raise _UsageError("--n-values must name at least one n")
     rows = montecarlo.single_component_decay(ns.d, n_values, ns.trials, ns.seed)
     if ns.format == "csv":
         return montecarlo.decay_rows_to_csv(rows)
@@ -341,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="seeded Monte Carlo distribution estimate")
     _add_source_flags(sub)
     sub.add_argument("--trials", type=int, action=_Once, required=True)
-    sub.add_argument("--seed", type=int, action=_Once, required=True)
+    sub.add_argument("--seed", type=_seed, action=_Once, required=True)
     fmt(sub)
     sub.set_defaults(handler=_cmd_simulate)
 
@@ -350,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, action=_Once, required=True)
     sub.add_argument("--graph-samples", type=int, action=_Once, required=True)
     sub.add_argument("--orderings", type=int, action=_Once, required=True)
-    sub.add_argument("--seed", type=int, action=_Once, required=True)
+    sub.add_argument("--seed", type=_seed, action=_Once, required=True)
     fmt(sub)
     sub.set_defaults(handler=_cmd_gnm_sim)
 
@@ -358,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d", type=int, action=_Once, required=True)
     sub.add_argument("--n-values", action=_Once, required=True, metavar="N1,N2,...")
     sub.add_argument("--trials", type=int, action=_Once, required=True)
-    sub.add_argument("--seed", type=int, action=_Once, required=True)
+    sub.add_argument("--seed", type=_seed, action=_Once, required=True)
     fmt(sub, choices=("json", "csv"))
     sub.set_defaults(handler=_cmd_decay)
 

@@ -3,27 +3,34 @@
 Processing an edge ordering keeps each edge that touches at least one
 previously untouched vertex; the kept edges form a forest covering every
 non-isolated vertex.  kappa counts its trees, equivalently the kept edges
-whose endpoints were both untouched.
+whose endpoints were both untouched.  An edge's endpoints are both
+untouched exactly when it comes first among the edges at both endpoints, so
+kappa is the number of local minima of a uniform order on the line graph.
 
-Exact distributions come from two independent routes: DFS over all m!
-orderings (the oracle, capped at 10 edges) and the edge-deletion recurrence
+Exact distributions come from DFS over all m! orderings (the oracle, capped
+at 10 edges) and from local-minimum sums over matchings.  For a matching S
+of one connected component with m edges, let U(S) be the union of the
+closed line-graph neighbourhoods of its edges.  The edge of U(S) that comes
+first must be in S, so
 
-    p_G = p_{G1} * p_{G2} * ...          over connected components,
-    p_G = (1/m) * sum_e p_{G - e}        for a component with >= 2 edges,
-    p_{K_2} = x,  p_{K_1} = 1,
+    C(empty) = m!,    C(S) = sum_{e in S} C(S - e) / |U(S)|,
 
-memoized across isomorphic subgraphs by canonical key.  Edge deletions are
-grouped into automorphism orbits (isomorphic children computed once and
-weighted by orbit size), which is what makes dense symmetric inputs such as
-complete multipartite graphs tractable.
+where C(S) counts the orderings in which every edge of S is a local
+minimum; each division is exact.  With E_j the sum of C(S) over j-edge
+matchings, E_j / m! = E[binom(kappa, j)] and inclusion-exclusion gives
+
+    P(kappa = k) = sum_j (-1)^(j-k) binom(j, k) E_j / m!.
+
+Components are solved one at a time and their laws convolved, so the cost
+is the number of matchings of the largest component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
-from .canon import canonical_data
 from .distribution import ForestDistribution, convolve
 from .errors import (
     DisconnectedInput,
@@ -32,11 +39,10 @@ from .errors import (
     MemoryBudgetExceeded,
     TooManyEdges,
 )
-from .graphs import Graph, components, is_connected, large_bridges
+from .graphs import Graph, components, is_connected
 
 BRUTE_FORCE_EDGE_CAP = 10
-
-_ONE = Fraction(1)
+DEFAULT_MAX_MEMO_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,182 +119,132 @@ def expected_components(g: Graph) -> Fraction:
 
 
 class PolynomialEngine:
-    """Memoized evaluator for exact distributions and one-component values.
+    """Evaluator for exact distributions and one-component values.
 
-    One engine instance owns two memo tables keyed by canonical key: full
-    coefficient maps for connected components, and bare k=1 coefficients for
-    the pruned one-component recurrence.  Keys are isomorphism invariants,
-    so tables can be shared across graphs and reused for an entire sweep.
-    Inserts are idempotent (a recomputed key stores the identical value),
-    so concurrent sibling evaluation would be sound as well.
+    Each connected component is solved by the matching sums of the module
+    docstring.  Solved components are cached by their labelled edge set
+    (vertex count plus edge bitmask) in two tables, full laws and k=1
+    values, so a sweep that meets the same labelled component twice solves
+    it once; `memoize=False` turns the cache off.
 
-    `max_memo_entries` optionally bounds the table sizes; exceeding the
-    budget raises MemoryBudgetExceeded rather than thrashing.
+    `max_memo_entries` bounds the matchings held at once while solving (two
+    levels, j-1 and j edges) and the entries of each cache table; exceeding
+    it raises MemoryBudgetExceeded rather than thrashing.
     """
 
-    def __init__(self, memoize: bool = True, max_memo_entries: int | None = None):
+    def __init__(self, memoize: bool = True, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
         self.memoize = memoize
         self.max_memo_entries = max_memo_entries
-        self._poly: dict[bytes, dict[int, Fraction]] = {}
-        self._one: dict[bytes, Fraction] = {}
-        # labeled-graph -> canonical key; skips repeat canonicalizations of
-        # literally identical subgraphs arriving via different parents
-        self._labels: dict[tuple[int, int], bytes] = {}
-
-    # --- full distribution ---
+        self._poly: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._one: dict[tuple[int, int], Fraction] = {}
 
     def distribution(self, g: Graph) -> ForestDistribution:
         """Exact p_G as a distribution; edgeless graphs give the empty map."""
-        acc = {0: _ONE}
+        acc = {0: Fraction(1)}
         pieces, _ = components(g)
-        for piece, _vmap in sorted(pieces, key=lambda item: item[0].m):
-            acc = convolve(acc, self._component_poly(piece))
+        for piece, _vmap in pieces:
+            acc = convolve(acc, self._solve(self._poly, piece, lambda law: law))
         probs = {k: v for k, v in acc.items() if k > 0}
         return ForestDistribution(g.n, g.m, probs)
 
-    def _component_poly(self, comp: Graph) -> dict[int, Fraction]:
-        # comp is connected with no isolated vertices and >= 1 edge
-        if comp.m == 1:
-            return {1: _ONE}
-        key, autos = self._canonical(comp, self._poly)
-        if self.memoize:
-            cached = self._poly.get(key)
-            if cached is not None:
-                return cached
-        if autos is None:
-            key, autos = canonical_data(comp)
-        acc: dict[int, Fraction] = {}
-        for eid, weight in _edge_orbit_representatives(comp, autos):
-            child_probs = {0: _ONE}
-            child_pieces, _ = components(comp.delete_edge(eid))
-            for piece, _vmap in sorted(child_pieces, key=lambda item: item[0].m):
-                child_probs = convolve(child_probs, self._component_poly(piece))
-            w = Fraction(weight)
-            for k, p in child_probs.items():
-                acc[k] = acc.get(k, Fraction(0)) + w * p
-        result = {k: p / comp.m for k, p in sorted(acc.items()) if p}
-        if self.memoize:
-            self._store(self._poly, key, result)
-        return result
-
-    # --- k = 1 coefficient only ---
-
     def one_component(self, g: Graph) -> Fraction:
-        """P(G,1) by the recurrence that skips large bridges.
-
-        Deleting a large bridge leaves two edge-bearing components and thus
-        at least two trees, so those children contribute nothing to k=1 and
-        are never visited.
-        """
+        """P(G,1) for a connected graph: coefficient 1 of the same sums."""
         if g.m == 0:
             raise EmptyGraph("one-component probability needs at least one edge")
         if not is_connected(g):
             raise DisconnectedInput("one-component probability needs a connected graph")
-        return self._component_one(g)
+        return self._solve(self._one, g, lambda law: law[1])
 
-    def _component_one(self, comp: Graph) -> Fraction:
-        if comp.m == 1:
-            return _ONE
-        key, autos = self._canonical(comp, self._one)
-        if self.memoize:
-            cached = self._one.get(key)
-            if cached is not None:
-                return cached
-        if autos is None:
-            key, autos = canonical_data(comp)
-        skip = large_bridges(comp)
-        acc = Fraction(0)
-        for eid, weight in _edge_orbit_representatives(comp, autos):
-            if eid in skip:
-                continue
-            child_pieces, _ = components(comp.delete_edge(eid))
-            # e was not a large bridge, so exactly one piece carries edges
-            (piece, _vmap), = child_pieces
-            acc += weight * self._component_one(piece)
-        result = acc / comp.m
-        if self.memoize:
-            self._store(self._one, key, result)
-        return result
-
-    def _canonical(self, comp: Graph, value_table: dict):
-        """Canonical key via the labeled cache; autos only when freshly computed.
-
-        Returns (key, autos_or_None).  A None autos with a value-table miss
-        means the caller must recompute canonical_data to get generators;
-        that only happens when a labeled graph reappears for the other table.
-        """
+    def _solve(self, table: dict, comp: Graph, value):
+        """value(law of comp), through `table` when memoizing."""
         if not self.memoize:
-            return canonical_data(comp)
+            return value(_law(self._matching_sums(comp)))
         mask = 0
         for u, v in comp.edges:
             mask |= 1 << (v * (v - 1) // 2 + u)
-        label = (comp.n, mask)
-        key = self._labels.get(label)
-        if key is not None:
-            return key, None
-        key, autos = canonical_data(comp)
-        self._store(self._labels, label, key)
-        return key, autos
+        key = (comp.n, mask)
+        cached = table.get(key)
+        if cached is None:
+            cached = value(_law(self._matching_sums(comp)))
+            if len(table) >= self.max_memo_entries:
+                raise MemoryBudgetExceeded(
+                    f"memo budget of {self.max_memo_entries} entries exhausted"
+                )
+            table[key] = cached
+        return cached
 
-    def _store(self, table: dict, key, value) -> None:
-        if (
-            self.max_memo_entries is not None
-            and key not in table
-            and len(table) >= self.max_memo_entries
-        ):
-            raise MemoryBudgetExceeded(
-                f"memo budget of {self.max_memo_entries} entries exhausted"
-            )
-        table[key] = value
+    def _matching_sums(self, comp: Graph) -> list[int]:
+        """[E_0, E_1, ...] for a connected component, one matching level at a time.
+
+        A matching is an edge-id bitmask and is built from the matching
+        without its highest edge, so each is made once.  Before a level is
+        built, its size is counted and checked against the budget.
+        """
+        at = [0] * comp.n
+        for eid, (u, v) in enumerate(comp.edges):
+            at[u] |= 1 << eid
+            at[v] |= 1 << eid
+        closed = [at[u] | at[v] for u, v in comp.edges]
+        full = (1 << comp.m) - 1
+        level = {0: factorial(comp.m)}
+        sums = [level[0]]
+        while True:
+            unions = []
+            held = len(level)
+            for s in level:
+                union, rest = 0, s
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    union |= closed[low.bit_length() - 1]
+                unions.append(union)
+                held += (full & ~union & -(1 << s.bit_length())).bit_count()
+            if held > self.max_memo_entries:
+                raise MemoryBudgetExceeded(
+                    f"matching budget of {self.max_memo_entries} entries exhausted: "
+                    f"{held} matchings of {len(sums) - 1} and {len(sums)} edges at once"
+                )
+            nxt: dict[int, int] = {}
+            for (s, c), union in zip(level.items(), unions):
+                grow = full & ~union & -(1 << s.bit_length())
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    key = s | low
+                    total, rest = c, s
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        total += level[key ^ bit]
+                    nxt[key] = total // (union | closed[low.bit_length() - 1]).bit_count()
+            if not nxt:
+                return sums
+            sums.append(sum(nxt.values()))
+            level = nxt
 
     def memo_sizes(self) -> tuple[int, int]:
+        """Cached component laws and cached one-component values."""
         return len(self._poly), len(self._one)
 
 
-def _edge_orbit_representatives(g: Graph, autos: list[tuple[int, ...]]):
-    """Orbits of the edge set under the given automorphisms.
-
-    Yields (edge_id, orbit_size) for one representative per orbit.  Any
-    subgroup gives sound orbits: members of a coarse orbit are genuinely
-    equivalent, just possibly not all equivalences are found, costing memo
-    hits rather than correctness.
-    """
-    if not autos:
-        for eid in range(g.m):
-            yield eid, 1
-        return
-    index = {e: i for i, e in enumerate(g.edges)}
-    parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigma in autos:
-        for i, (u, v) in enumerate(g.edges):
-            a, b = sigma[u], sigma[v]
-            j = index[(a, b) if a < b else (b, a)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    orbits: dict[int, int] = {}
-    for i in range(g.m):
-        r = find(i)
-        orbits[r] = orbits.get(r, 0) + 1
-    for root in sorted(orbits):
-        yield root, orbits[root]
-
-
-_DEFAULT_ENGINE = PolynomialEngine()
+def _law(sums: list[int]) -> dict[int, Fraction]:
+    """P(kappa = k) for k >= 1 from E_j = m! E[binom(kappa, j)], E_0 = m!."""
+    law = {}
+    for k in range(1, len(sums)):
+        count = sum((-1) ** (j - k) * comb(j, k) * sums[j] for j in range(k, len(sums)))
+        if count:
+            law[k] = Fraction(count, sums[0])
+    return law
 
 
 def forest_polynomial(g: Graph, engine: PolynomialEngine | None = None) -> ForestDistribution:
-    """Exact distribution of the process component count for g."""
-    return (engine or _DEFAULT_ENGINE).distribution(g)
+    """Exact distribution of the process component count for g.
+
+    Without an engine, a fresh one serves this call alone.
+    """
+    return (engine or PolynomialEngine()).distribution(g)
 
 
 def single_component_probability(g: Graph, engine: PolynomialEngine | None = None) -> Fraction:
-    """Exact P(G,1) for connected g via the large-bridge-pruned recurrence."""
-    return (engine or _DEFAULT_ENGINE).one_component(g)
+    """Exact P(G,1) for connected g; without an engine, a fresh one serves this call."""
+    return (engine or PolynomialEngine()).one_component(g)

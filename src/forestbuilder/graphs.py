@@ -110,17 +110,24 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if len(fields) != 2:
                 raise MalformedEdgeList('first line must be "n m"')
-            header = (int(fields[0]), int(fields[1]))
+            header = _int_pair(fields, line)
             continue
         if len(fields) != 2:
             raise MalformedEdgeList(f"bad edge line: {line!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
+        pairs.append(_int_pair(fields, line))
     if header is None:
         raise MalformedEdgeList("empty edge list input")
     n, m = header
     if len(pairs) != m:
         raise MalformedEdgeList(f"header says {m} edges, found {len(pairs)}")
     return from_edge_list(n, pairs)
+
+
+def _int_pair(fields: list[str], line: str) -> tuple[int, int]:
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise MalformedEdgeList(f"non-integer field in line {line!r}") from None
 
 
 def format_edge_list(g: Graph) -> str:

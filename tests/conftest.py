@@ -1,7 +1,7 @@
-"""Shared fixtures: one memoized engine for the whole session.
+"""Shared fixtures: one engine and the connected classes for the whole session.
 
-The engine's memo tables are isomorphism-keyed, so every test that asks for
-an exact polynomial benefits from work done by earlier tests.
+The engine caches solved components by labelled edge set, so a test that
+meets a component an earlier test solved reuses its law.
 """
 
 import pytest
@@ -18,4 +18,4 @@ def engine():
 @pytest.fixture(scope="session")
 def connected_classes():
     """Connected isomorphism class representatives keyed by vertex count."""
-    return {n: tuple(enumerate_connected_graphs(n)) for n in range(2, 7)}
+    return {n: tuple(enumerate_connected_graphs(n)) for n in range(2, 8)}

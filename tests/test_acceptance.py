@@ -6,12 +6,9 @@ the path series test at relative tolerance 1e-9.
 """
 
 import math
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-
-import pytest
 
 from forestbuilder.closedforms import (
     bipartite_distribution,
@@ -38,6 +35,7 @@ from forestbuilder.families import (
 )
 from forestbuilder.graphs import Graph
 from forestbuilder.montecarlo import estimate_distribution, single_component_decay
+from forestbuilder.recurrence import recurrence_distribution
 from forestbuilder.search import (
     check_conjecture,
     enumerate_connected_graphs,
@@ -58,6 +56,15 @@ def test_complete_tripartite_flagship_distribution(engine):
         3: Fraction(10951, 26125),
         4: Fraction(1458, 26125),
     }
+
+
+def test_engine_matches_recurrence_oracle_on_all_seven_vertex_classes(engine, connected_classes):
+    memo = {}  # the oracle's canonical-key memo, shared across the sweep
+    assert len(connected_classes[7]) == 853
+    for g in connected_classes[7]:
+        oracle = recurrence_distribution(g, memo)
+        assert engine.distribution(g).probs == oracle.probs
+        assert engine.one_component(g) == oracle.coefficient(1)
 
 
 def test_complete_graph_closed_form_matches_engine(engine):
@@ -165,7 +172,6 @@ def test_plus_edge_conjecture_holds_small(engine):
         assert check_conjecture(k, engine).holds
 
 
-@pytest.mark.skipif(os.environ.get("RUN_SLOW") != "1", reason="set RUN_SLOW=1 to run")
 def test_plus_edge_conjecture_holds_k4(engine):
     assert check_conjecture(4, engine).holds
 

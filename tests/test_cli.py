@@ -1,9 +1,6 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
 import json
-import os
-
-import pytest
 
 from forestbuilder.cli import run
 from forestbuilder.distribution import format_fraction
@@ -165,7 +162,6 @@ def test_table_small_graphs_parses_back_to_exact_polynomials(capsys):
         }
 
 
-@pytest.mark.skipif(os.environ.get("RUN_SLOW") != "1", reason="set RUN_SLOW=1 to run")
 def test_poly_nine_vertex_tripartite_flagship(capsys):
     out = _ok(capsys, ["poly", "--family", "multipartite", "--parts", "3,3,3"])
     assert json.loads(out)["probs"] == {
@@ -193,6 +189,47 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert run(["poly", "--family", "kn"]) == 2
     assert "requires --n" in capsys.readouterr().err
+
+
+def test_edge_list_with_non_integer_token_exits_one(capsys, tmp_path):
+    source = tmp_path / "bad.txt"
+    source.write_text("3 2\n0 1\n1 two\n")
+    assert run(["poly", "--edges", str(source)]) == 1
+    assert "non-integer" in capsys.readouterr().err
+
+
+def test_unreadable_edge_list_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    assert run(["poly", "--edges", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert run(["poly", "--edges", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_empty_list_items_are_usage_errors(capsys):
+    assert run(["poly", "--family", "multipartite", "--parts", "3,,3"]) == 2
+    assert "--parts" in capsys.readouterr().err
+    assert run(["decay", "--d", "2", "--n-values", "5,", "--trials", "5", "--seed", "3"]) == 2
+    assert "--n-values" in capsys.readouterr().err
+
+
+def test_seeds_outside_sixty_four_bits_are_usage_errors(capsys):
+    simulate = ["simulate", "--family", "kn", "--n", "4", "--trials", "20"]
+    for seed in ("-1", str(1 << 64)):
+        assert run(simulate + ["--seed", seed]) == 2
+        assert "0..2^64-1" in capsys.readouterr().err
+        gnm = ["poly", "--family", "gnm", "--n", "5", "--m", "4", "--graph-seed", seed]
+        assert run(gnm) == 2
+        assert "0..2^64-1" in capsys.readouterr().err
+    assert run(simulate + ["--seed", str((1 << 64) - 1)]) == 0
+    capsys.readouterr()
+
+
+def test_poly_past_the_matching_budget_exits_one(capsys):
+    # K_60 has 1,462,905 matchings of two edges, past the default 2^20
+    # budget; the level is counted before it is built, so this fails fast
+    assert run(["poly", "--family", "kn", "--n", "60"]) == 1
+    assert "matching budget of 1048576 entries exhausted" in capsys.readouterr().err
 
 
 def test_computation_errors_exit_one(capsys):

@@ -28,6 +28,7 @@ from forestbuilder.families import (
     cycle_graph,
     gnm_random_graph,
     path_graph,
+    random_regular_graph,
     star_graph,
 )
 from forestbuilder.graphs import Graph, from_edge_list
@@ -218,6 +219,13 @@ def test_single_component_values(engine):
         single_component_probability(Graph(2, ()), engine)
     with pytest.raises(DisconnectedInput):
         single_component_probability(from_edge_list(4, [(0, 1), (2, 3)]), engine)
+
+
+def test_cubic_graph_past_the_canonical_cap(engine):
+    g = random_regular_graph(20, 3, 0)
+    dist = forest_polynomial(g, engine)
+    assert dist.total() == 1
+    assert dist.expected_components() == expected_components(g) == 6
 
 
 def test_memoization_controls():

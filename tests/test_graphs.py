@@ -106,6 +106,8 @@ def test_edge_list_text_rejects_malformed():
         "4 2\n0 1\n",
         "4 1\n0 1\n1 2\n",
         "4 1\n0 1 2\n",
+        "4 x\n0 1\n",
+        "4 1\n0 1.5\n",
     ]
     for bad in bad_inputs:
         with pytest.raises(MalformedEdgeList):
