@@ -30,7 +30,6 @@ from .graphs import (
     format_edge_list,
     from_edge_list,
     is_connected,
-    large_bridges,
     parse_edge_list,
 )
 from .canon import (
@@ -89,7 +88,6 @@ __all__ = [
     "gnm_random_graph",
     "is_connected",
     "is_edge_transitive",
-    "large_bridges",
     "parse_edge_list",
     "parse_fraction",
     "parse_graph6",

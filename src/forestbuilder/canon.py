@@ -15,8 +15,10 @@ inputs from exploding factorially:
   automorphisms that fix the placed prefix pointwise identify candidate
   vertices whose subtrees are mirror images of ones already explored.
 
-This is exhaustive search, not a refinement-based tool, so it is capped at
-CANONICAL_VERTEX_CAP vertices.
+The automorphisms the search finds serve only this pruning.
+`canonical_form` relabels by the winning ordering, and `canonical_key` is
+the graph6 encoding of that form.  This is exhaustive search, not a
+refinement-based tool, so it is capped at CANONICAL_VERTEX_CAP vertices.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ CANONICAL_VERTEX_CAP = 16
 _MAX_STORED_AUTOMORPHISMS = 64
 
 
-def _search(n: int, masks: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Return (ordering, automorphisms found along the way).
+def _search(n: int, masks: list[int]) -> list[int]:
+    """Return the canonical ordering: ordering[pos] is the vertex at pos.
 
-    ordering[pos] is the original vertex placed at position pos; the
-    automorphisms are vertex maps discovered at tie leaves.  Inner loops are
-    written for speed: candidates sort as plain (-bits, v) tuples, and the
-    one-bit-per-vertex update is undone by shifting back rather than saving.
+    The automorphisms it prunes with are vertex maps discovered at tie
+    leaves.  Inner loops are written for speed: candidates sort as plain
+    (-bits, v) tuples, and the one-bit-per-vertex update is undone by
+    shifting back rather than saving.
     """
     best_perm: list[int] | None = None
     best_cums: list[int] = [0] * n
@@ -105,35 +107,17 @@ def _search(n: int, masks: list[int]) -> tuple[list[int], list[tuple[int, ...]]]
             on_best = True  # incumbent now passes through this node
 
     if n == 0:
-        return [], []
+        return []
     descend(0, 0, False)
     assert best_perm is not None
-    return best_perm, autos
-
-
-def canonical_data(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> tuple[bytes, list[tuple[int, ...]]]:
-    """Canonical key plus the automorphisms found while computing it.
-
-    The automorphism list is not the full group, just the generators the
-    search stumbled on; callers use them for orbit computations where any
-    subgroup gives sound (if coarser) orbits.
-    """
-    if g.n > cap:
-        raise SizeCapExceeded(f"canonical labeling cap is {cap} vertices, got {g.n}")
-    ordering, autos = _search(g.n, g.adjacency_masks())
-    position = [0] * g.n
-    for pos, v in enumerate(ordering):
-        position[v] = pos
-    relabeled = g.relabel(position)
-    canonical = Graph(g.n, tuple(sorted(relabeled.edges)))
-    return serialize_graph6(canonical).encode("ascii"), autos
+    return best_perm
 
 
 def canonical_form(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> Graph:
     """Isomorphism-class representative with lexicographic edge order."""
     if g.n > cap:
         raise SizeCapExceeded(f"canonical labeling cap is {cap} vertices, got {g.n}")
-    ordering, _ = _search(g.n, g.adjacency_masks())
+    ordering = _search(g.n, g.adjacency_masks())
     position = [0] * g.n
     for pos, v in enumerate(ordering):
         position[v] = pos
@@ -143,7 +127,7 @@ def canonical_form(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> Graph:
 
 def canonical_key(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> bytes:
     """Complete isomorphism invariant: graph6 bytes of the canonical form."""
-    return canonical_data(g, cap)[0]
+    return serialize_graph6(canonical_form(g, cap)).encode("ascii")
 
 
 def _vertex_maps(g: Graph):

@@ -17,17 +17,7 @@ from . import closedforms, montecarlo, search
 from .distribution import ForestDistribution, format_fraction
 from .engine import brute_force_distribution, forest_polynomial, single_component_probability, expected_components
 from .errors import ForestBuilderError
-from .families import (
-    balanced_bipartite_plus_edge,
-    complete_bipartite,
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    gnm_random_graph,
-    path_graph,
-    random_regular_graph,
-    star_graph,
-)
+from .families import GeneratorSpec, generate
 from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph, cheeger_constant, parse_edge_list
 from .search import enumerate_connected_graphs, enumerate_trees
@@ -59,7 +49,20 @@ def _seed(text: str) -> int:
     return value
 
 
-_FAMILIES = ["kn", "kst", "multipartite", "path", "cycle", "star", "plus-edge", "gnm", "regular"]
+# --family name -> (GeneratorSpec family, required flags in parameter order);
+# a trailing graph-seed flag becomes the spec's seed
+_FAMILY_SPECS = {
+    "kn": ("complete", ("n",)),
+    "kst": ("complete_bipartite", ("s", "t")),
+    "multipartite": ("complete_multipartite", ("parts",)),
+    "path": ("path", ("n",)),
+    "cycle": ("cycle", ("n",)),
+    "star": ("star", ("n",)),
+    "plus-edge": ("bipartite_plus_edge", ("k",)),
+    "gnm": ("gnm", ("n", "m", "graph-seed")),
+    "regular": ("random_regular", ("n", "d", "graph-seed")),
+}
+_FAMILIES = list(_FAMILY_SPECS)
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
@@ -80,7 +83,7 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
                      help="seed for gnm/regular families")
 
 
-def _need(ns: argparse.Namespace, *names: str) -> list[int]:
+def _need(ns: argparse.Namespace, *names: str) -> list:
     values = []
     for name in names:
         value = getattr(ns, name.replace("-", "_"))
@@ -98,31 +101,12 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _family_graph(ns: argparse.Namespace) -> Graph:
-    family = ns.family
-    if family == "kn":
-        return complete_graph(*_need(ns, "n"))
-    if family == "kst":
-        return complete_bipartite(*_need(ns, "s", "t"))
-    if family == "multipartite":
-        (raw,) = (ns.parts,)
-        if raw is None:
-            raise _UsageError("--family multipartite requires --parts")
-        return complete_multipartite(tuple(_parse_int_list(raw, "--parts")))
-    if family == "path":
-        return path_graph(*_need(ns, "n"))
-    if family == "cycle":
-        return cycle_graph(*_need(ns, "n"))
-    if family == "star":
-        return star_graph(*_need(ns, "n"))
-    if family == "plus-edge":
-        return balanced_bipartite_plus_edge(*_need(ns, "k"))
-    if family == "gnm":
-        n, m, seed = _need(ns, "n", "m", "graph-seed")
-        return gnm_random_graph(n, m, seed)
-    if family == "regular":
-        n, d, seed = _need(ns, "n", "d", "graph-seed")
-        return random_regular_graph(n, d, seed)
-    raise _UsageError(f"unknown family {family!r}")
+    family, flags = _FAMILY_SPECS[ns.family]
+    params = _need(ns, *flags)
+    seed = params.pop() if flags[-1] == "graph-seed" else None
+    if family == "complete_multipartite":
+        params = _parse_int_list(params[0], "--parts")
+    return generate(GeneratorSpec(family, tuple(params), seed))
 
 
 def _graph_from_args(ns: argparse.Namespace) -> Graph:
@@ -281,27 +265,20 @@ def _cmd_conjecture(ns: argparse.Namespace) -> str:
 
 
 def _cmd_table(ns: argparse.Namespace) -> str:
-    lines = []
     if ns.which == "small-graphs":
-        for n in range(2, ns.max_n + 1):
-            graphs = enumerate_connected_graphs(n)
-            if ns.verbose:
-                print(f"n={n}: {len(graphs)} connected classes", file=sys.stderr)
-            for g in graphs:
-                dist = forest_polynomial(g)
-                lines.append(json.dumps(
-                    {"graph6": serialize_graph6(g), "polynomial": dist.to_json_dict()}
-                ))
+        enumerate_graphs, label = enumerate_connected_graphs, "connected classes"
     else:
-        for n in range(2, ns.max_n + 1):
-            trees = enumerate_trees(n)
-            if ns.verbose:
-                print(f"n={n}: {len(trees)} trees", file=sys.stderr)
-            for g in trees:
-                dist = forest_polynomial(g)
-                lines.append(json.dumps(
-                    {"graph6": serialize_graph6(g), "polynomial": dist.to_json_dict()}
-                ))
+        enumerate_graphs, label = enumerate_trees, "trees"
+    lines = []
+    for n in range(2, ns.max_n + 1):
+        graphs = enumerate_graphs(n)
+        if ns.verbose:
+            print(f"n={n}: {len(graphs)} {label}", file=sys.stderr)
+        for g in graphs:
+            dist = forest_polynomial(g)
+            lines.append(json.dumps(
+                {"graph6": serialize_graph6(g), "polynomial": dist.to_json_dict()}
+            ))
     return "\n".join(lines)
 
 

@@ -55,18 +55,30 @@ def run_process(g: Graph, ordering: list[int] | tuple[int, ...]) -> ProcessResul
     """Run the process for one explicit edge ordering."""
     if sorted(ordering) != list(range(g.m)):
         raise InvalidOrdering("ordering must be a permutation of 0..m-1")
-    touched = [False] * g.n
+    kept, kappa = _scan(g.edges, g.n, ordering)
+    return ProcessResult(frozenset(kept), kappa)
+
+
+def _scan(
+    edges: tuple[tuple[int, int], ...], n: int, order: list[int] | tuple[int, ...]
+) -> tuple[list[int], int]:
+    """Kept edge ids and kappa over `order`; the caller ensures it is a permutation."""
+    touched = [False] * n
     kept = []
     kappa = 0
-    for eid in ordering:
-        u, v = g.edges[eid]
-        new_u, new_v = not touched[u], not touched[v]
-        if new_u or new_v:
-            kept.append(eid)
+    for eid in order:
+        u, v = edges[eid]
+        if touched[u]:
+            if touched[v]:
+                continue
+            touched[v] = True
+        elif touched[v]:
+            touched[u] = True
+        else:
             touched[u] = touched[v] = True
-            if new_u and new_v:
-                kappa += 1
-    return ProcessResult(frozenset(kept), kappa)
+            kappa += 1
+        kept.append(eid)
+    return kept, kappa
 
 
 def brute_force_distribution(g: Graph) -> ForestDistribution:
@@ -129,7 +141,10 @@ class PolynomialEngine:
 
     `max_memo_entries` bounds the matchings held at once while solving (two
     levels, j-1 and j edges) and the entries of each cache table; exceeding
-    it raises MemoryBudgetExceeded rather than thrashing.
+    it raises MemoryBudgetExceeded rather than thrashing.  It counts
+    matchings, not bytes: each held matching carries an integer of about
+    log2(m!) bits, so a solve near the 2^20 default can hold about a
+    quarter of a gigabyte (K_13, at about 405k matchings, peaks at 98 MB).
     """
 
     def __init__(self, memoize: bool = True, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):

@@ -199,41 +199,6 @@ def components(g: Graph) -> tuple[list[tuple[Graph, tuple[int, ...]]], int]:
     return pieces, isolated
 
 
-def _reachable(masks: list[int], start: int, n: int) -> int:
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        rest = masks[u] & ~seen
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            seen |= low
-            stack.append(low.bit_length() - 1)
-    return seen
-
-
-def large_bridges(g: Graph) -> set[int]:
-    """Edge ids whose removal splits off two sides each containing an edge.
-
-    A bridge with a pendant side (all the side's vertices meet no other
-    edge) does not count: only cuts leaving at least one edge on both sides.
-    """
-    result: set[int] = set()
-    for eid, (u, v) in enumerate(g.edges):
-        rest = g.delete_edge(eid)
-        masks = rest.adjacency_masks()
-        side_u = _reachable(masks, u, rest.n)
-        if (side_u >> v) & 1:
-            continue  # not a bridge
-        edges_u = sum(1 for a, b in rest.edges if (side_u >> a) & 1 and (side_u >> b) & 1)
-        side_v = _reachable(masks, v, rest.n)
-        edges_v = sum(1 for a, b in rest.edges if (side_v >> a) & 1 and (side_v >> b) & 1)
-        if edges_u >= 1 and edges_v >= 1:
-            result.add(eid)
-    return result
-
-
 def edge_codegree(g: Graph, edge_id: int) -> int:
     """d(u) + d(v) - 2 for the edge's endpoints: neighbors besides the edge."""
     u, v = g.edges[edge_id]

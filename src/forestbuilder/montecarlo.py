@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .engine import _scan
 from .errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
 from .graphs import CHEEGER_VERTEX_CAP, Graph, cheeger_constant
@@ -43,19 +44,7 @@ def _trial_kappa(edges: tuple[tuple[int, int], ...], n: int, rng: SplitMix64) ->
     """One process run under a fresh uniform ordering."""
     order = list(range(len(edges)))
     rng.shuffle(order)
-    touched = [False] * n
-    kappa = 0
-    for eid in order:
-        u, v = edges[eid]
-        if touched[u]:
-            if not touched[v]:
-                touched[v] = True
-        elif touched[v]:
-            touched[u] = True
-        else:
-            touched[u] = touched[v] = True
-            kappa += 1
-    return kappa
+    return _scan(edges, n, order)[1]
 
 
 def _moments(counts: dict[int, int], trials: int) -> tuple[float, float]:

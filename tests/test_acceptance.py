@@ -38,7 +38,6 @@ from forestbuilder.montecarlo import estimate_distribution, single_component_dec
 from forestbuilder.recurrence import recurrence_distribution
 from forestbuilder.search import (
     check_conjecture,
-    enumerate_connected_graphs,
     enumerate_trees,
     find_equal_polynomial_pairs,
     find_tree_pairs,
@@ -80,10 +79,10 @@ def test_complete_bipartite_closed_form_matches_engine(engine):
             assert closed.probs == engine.distribution(complete_bipartite(s, t)).probs
 
 
-def test_brute_force_matches_engine_on_every_small_graph(engine):
+def test_brute_force_matches_engine_on_every_small_graph(engine, connected_classes):
     # a connected graph with at most 7 edges has at most 8 vertices, and on
     # 8 vertices it must be a tree, so these classes are exhaustive
-    classes = [g for n in range(2, 8) for g in enumerate_connected_graphs(n) if g.m <= 7]
+    classes = [g for n in range(2, 8) for g in connected_classes[n] if g.m <= 7]
     classes += enumerate_trees(8)
     assert len(classes) == 131
     for g in classes:

@@ -2,9 +2,10 @@
 
 import json
 
-from forestbuilder.cli import run
+from forestbuilder.cli import _FAMILIES, run
 from forestbuilder.distribution import format_fraction
 from forestbuilder.engine import forest_polynomial
+from forestbuilder.families import GeneratorSpec, generate
 from forestbuilder.graph6 import parse_graph6
 
 
@@ -98,6 +99,24 @@ def test_simulate_deterministic(capsys):
     assert text.splitlines()[-2].startswith("mean ")
 
 
+def test_seeded_outputs_are_pinned(capsys):
+    # the exact streams, not only their determinism: a change to the
+    # process scan, the shuffle or the seed derivation shows up here
+    out = _ok(capsys, ["simulate", "--family", "kn", "--n", "4", "--trials", "200",
+                       "--seed", "7", "--format", "text"])
+    assert out == "1 166\n2 34\nmean 1.17\nstderr 0.026561249970586873\n"
+    out = _ok(capsys, ["gnm-sim", "--n", "6", "--m", "7", "--graph-samples", "5",
+                       "--orderings", "10", "--seed", "1"])
+    assert out == '{"mean": 1.72, "stderr": 0.07504665215717495}\n'
+    out = _ok(capsys, ["decay", "--d", "3", "--n-values", "6,8", "--trials", "200",
+                       "--seed", "3", "--format", "csv"])
+    assert out == (
+        "n,p1_hat,neg_log_p1_over_n,cheeger\n"
+        "6,0.295,0.2034633204403862,1/3\n"
+        "8,0.055,0.36255276171870826,1/3\n"
+    )
+
+
 def test_gnm_sim_deterministic(capsys):
     argv = ["gnm-sim", "--n", "4", "--m", "3", "--graph-samples", "5",
             "--orderings", "10", "--seed", "1"]
@@ -178,6 +197,33 @@ def test_verbose_notes_go_to_stderr(capsys):
     assert code == 0
     assert "connected classes" in captured.err
     assert "connected classes" not in captured.out
+
+
+def test_every_family_builds_its_generator_spec(capsys):
+    cases = {
+        "kn": (["--n", "5"], GeneratorSpec("complete", (5,))),
+        "kst": (["--s", "2", "--t", "3"], GeneratorSpec("complete_bipartite", (2, 3))),
+        "multipartite": (["--parts", "2,2,3"], GeneratorSpec("complete_multipartite", (2, 2, 3))),
+        "path": (["--n", "6"], GeneratorSpec("path", (6,))),
+        "cycle": (["--n", "7"], GeneratorSpec("cycle", (7,))),
+        "star": (["--n", "4"], GeneratorSpec("star", (4,))),
+        "plus-edge": (["--k", "3"], GeneratorSpec("bipartite_plus_edge", (3,))),
+        "gnm": (["--n", "7", "--m", "10", "--graph-seed", "5"], GeneratorSpec("gnm", (7, 10), 5)),
+        "regular": (["--n", "8", "--d", "3", "--graph-seed", "2"],
+                    GeneratorSpec("random_regular", (8, 3), 2)),
+    }
+    assert sorted(cases) == sorted(_FAMILIES)
+    for family, (flags, spec) in cases.items():
+        out = _ok(capsys, ["poly", "--family", family, *flags, "--format", "text"])
+        dist = forest_polynomial(generate(spec))
+        assert out == "".join(f"{k} {format_fraction(p)}\n" for k, p in sorted(dist.probs.items()))
+
+
+def test_random_families_require_a_graph_seed(capsys):
+    assert run(["poly", "--family", "gnm", "--n", "5", "--m", "4"]) == 2
+    assert "usage error: --family gnm requires --graph-seed" in capsys.readouterr().err
+    assert run(["poly", "--family", "regular", "--n", "6", "--d", "3"]) == 2
+    assert "usage error: --family regular requires --graph-seed" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

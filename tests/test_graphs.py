@@ -28,7 +28,6 @@ from forestbuilder.graphs import (
     format_edge_list,
     from_edge_list,
     is_connected,
-    large_bridges,
     parse_edge_list,
 )
 
@@ -138,33 +137,6 @@ def test_components_counts_isolated_vertices():
     pieces, isolated = components(from_edge_list(4, [(1, 2)]))
     assert isolated == 2
     assert pieces[0][1] == (1, 2)
-
-
-def test_large_bridges_on_paths():
-    assert large_bridges(path_graph(2)) == set()
-    assert large_bridges(path_graph(4)) == {1}
-    assert large_bridges(path_graph(6)) == {1, 2, 3}
-
-
-def test_large_bridges_exclude_pendants_and_cycles():
-    assert large_bridges(cycle_graph(5)) == set()
-    assert large_bridges(star_graph(4)) == set()
-    paw = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    assert large_bridges(paw) == set()
-    two_triangles = from_edge_list(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
-    )
-    assert large_bridges(two_triangles) == {6}
-
-
-def test_large_bridges_split_off_an_edge_on_each_side(connected_classes):
-    for n in range(2, 7):
-        for g in connected_classes[n]:
-            for eid in large_bridges(g):
-                pieces, isolated = components(g.delete_edge(eid))
-                assert isolated == 0
-                assert len(pieces) == 2
-                assert all(piece.m >= 1 for piece, _ in pieces)
 
 
 def test_edge_codegree():

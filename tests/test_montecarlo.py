@@ -8,9 +8,14 @@ import pytest
 from math import comb
 
 from forestbuilder.closedforms import gnm_expected_components
-from forestbuilder.engine import expected_components
+from forestbuilder.engine import expected_components, run_process
 from forestbuilder.errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
-from forestbuilder.families import complete_bipartite, complete_graph, gnm_random_graph
+from forestbuilder.families import (
+    complete_bipartite,
+    complete_graph,
+    complete_multipartite,
+    gnm_random_graph,
+)
 from forestbuilder.graphs import Graph
 from forestbuilder.montecarlo import (
     decay_rows_to_csv,
@@ -27,6 +32,20 @@ def test_estimate_distribution_is_deterministic():
     assert estimate_distribution(g, 500, seed=11) == first
     other = estimate_distribution(g, 500, seed=12)
     assert other.counts != first.counts
+
+
+def test_estimate_distribution_tallies_run_process_over_the_seeded_shuffles():
+    # trial t shuffles 0..m-1 with the stream derive_seed(seed, t)
+    g = complete_multipartite((2, 2, 3))
+    seed, trials = 20261018, 400
+    tally: dict[int, int] = {}
+    for t in range(trials):
+        order = list(range(g.m))
+        SplitMix64(derive_seed(seed, t)).shuffle(order)
+        kappa = run_process(g, order).kappa
+        tally[kappa] = tally.get(kappa, 0) + 1
+    assert len(tally) > 1
+    assert estimate_distribution(g, trials, seed).counts == tally
 
 
 def test_estimate_distribution_counts_and_moments():
