@@ -17,8 +17,10 @@ inputs from exploding factorially:
 
 The automorphisms the search finds serve only this pruning.
 `canonical_form` relabels by the winning ordering, and `canonical_key` is
-the graph6 encoding of that form.  This is exhaustive search, not a
-refinement-based tool, so it is capped at CANONICAL_VERTEX_CAP vertices.
+the graph6 string of that form: the one identity of an isomorphism class,
+which `parse_graph6` turns back into the canonical form itself.  This is
+exhaustive search, not a refinement-based tool, so it is capped at
+CANONICAL_VERTEX_CAP vertices.
 """
 
 from __future__ import annotations
@@ -113,10 +115,12 @@ def _search(n: int, masks: list[int]) -> list[int]:
     return best_perm
 
 
-def canonical_form(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> Graph:
+def canonical_form(g: Graph) -> Graph:
     """Isomorphism-class representative with lexicographic edge order."""
-    if g.n > cap:
-        raise SizeCapExceeded(f"canonical labeling cap is {cap} vertices, got {g.n}")
+    if g.n > CANONICAL_VERTEX_CAP:
+        raise SizeCapExceeded(
+            f"canonical labeling cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}"
+        )
     ordering = _search(g.n, g.adjacency_masks())
     position = [0] * g.n
     for pos, v in enumerate(ordering):
@@ -125,9 +129,9 @@ def canonical_form(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> Graph:
     return Graph(g.n, tuple(sorted(relabeled.edges)))
 
 
-def canonical_key(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> bytes:
-    """Complete isomorphism invariant: graph6 bytes of the canonical form."""
-    return serialize_graph6(canonical_form(g, cap)).encode("ascii")
+def canonical_key(g: Graph) -> str:
+    """Complete isomorphism invariant: the graph6 string of the canonical form."""
+    return serialize_graph6(canonical_form(g))
 
 
 def _vertex_maps(g: Graph):
@@ -160,21 +164,21 @@ def _vertex_maps(g: Graph):
     yield from extend(0)
 
 
-def automorphisms(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The full automorphism group as vertex maps (identity included)."""
-    if g.n > cap:
-        raise SizeCapExceeded(f"automorphism cap is {cap} vertices, got {g.n}")
+    if g.n > CANONICAL_VERTEX_CAP:
+        raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
     return list(_vertex_maps(g))
 
 
-def is_edge_transitive(g: Graph, cap: int = CANONICAL_VERTEX_CAP) -> bool:
+def is_edge_transitive(g: Graph) -> bool:
     """Whether the automorphism group acts transitively on the edges.
 
     Stops enumerating automorphisms as soon as the discovered ones already
     merge all edges into one orbit.
     """
-    if g.n > cap:
-        raise SizeCapExceeded(f"automorphism cap is {cap} vertices, got {g.n}")
+    if g.n > CANONICAL_VERTEX_CAP:
+        raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
     if g.m <= 1:
         return True
     index = {e: i for i, e in enumerate(g.edges)}

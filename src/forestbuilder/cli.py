@@ -83,12 +83,13 @@ def _add_source_flags(sub: argparse.ArgumentParser) -> None:
                      help="seed for gnm/regular families")
 
 
-def _need(ns: argparse.Namespace, *names: str) -> list:
+def _required(ns: argparse.Namespace, context: str, *flags: str) -> list:
+    """The values of `flags` in order; a missing one is "<context> requires --<flag>"."""
     values = []
-    for name in names:
-        value = getattr(ns, name.replace("-", "_"))
+    for flag in flags:
+        value = getattr(ns, flag.replace("-", "_"))
         if value is None:
-            raise _UsageError(f"--family {ns.family} requires --{name}")
+            raise _UsageError(f"{context} requires --{flag}")
         values.append(value)
     return values
 
@@ -102,7 +103,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _family_graph(ns: argparse.Namespace) -> Graph:
     family, flags = _FAMILY_SPECS[ns.family]
-    params = _need(ns, *flags)
+    params = _required(ns, f"--family {ns.family}", *flags)
     seed = params.pop() if flags[-1] == "graph-seed" else None
     if family == "complete_multipartite":
         params = _parse_int_list(params[0], "--parts")
@@ -140,12 +141,13 @@ def _value_output(value, fmt: str) -> str:
 
 def _cmd_poly(ns: argparse.Namespace) -> str:
     if ns.method == "closed":
+        context = f"--family {ns.family}"
         if ns.family == "kn":
-            dist = closedforms.complete_distribution(*_need(ns, "n"))
+            dist = closedforms.complete_distribution(*_required(ns, context, "n"))
         elif ns.family == "kst":
-            dist = closedforms.bipartite_distribution(*_need(ns, "s", "t"))
+            dist = closedforms.bipartite_distribution(*_required(ns, context, "s", "t"))
         elif ns.family == "path":
-            (vertices,) = _need(ns, "n")
+            (vertices,) = _required(ns, context, "n")
             if vertices < 2:
                 raise _UsageError("closed path polynomial needs --n >= 2 vertices")
             dist = closedforms.path_distribution(vertices - 1)
@@ -169,38 +171,21 @@ def _cmd_cheeger(ns: argparse.Namespace) -> str:
     return _value_output(cheeger_constant(_graph_from_args(ns)), ns.format)
 
 
+# closed formula -> (closedforms function, required flags in argument order, output)
+_CLOSED_FORMULAS = {
+    "kn": (closedforms.complete_distribution, ("n",), _distribution_output),
+    "kst": (closedforms.bipartite_distribution, ("s", "t"), _distribution_output),
+    "path": (closedforms.path_distribution, ("n",), _distribution_output),
+    "cycle1": (closedforms.cycle_single_component, ("n",), _value_output),
+    "gnm-expect": (closedforms.gnm_expected_components, ("n", "m"), _value_output),
+    "gnm-bound": (closedforms.gnm_expectation_lower_bound, ("n", "m"), _value_output),
+    "q": (closedforms.bipartite_q, ("s", "t", "a", "b", "l"), _value_output),
+}
+
+
 def _cmd_closed(ns: argparse.Namespace) -> str:
-    which = ns.formula
-    if which == "kn":
-        return _distribution_output(closedforms.complete_distribution(_one(ns, "n")), ns.format)
-    if which == "kst":
-        s, t = _one(ns, "s"), _one(ns, "t")
-        return _distribution_output(closedforms.bipartite_distribution(s, t), ns.format)
-    if which == "path":
-        return _distribution_output(closedforms.path_distribution(_one(ns, "n")), ns.format)
-    if which == "cycle1":
-        return _value_output(closedforms.cycle_single_component(_one(ns, "n")), ns.format)
-    if which == "gnm-expect":
-        return _value_output(
-            closedforms.gnm_expected_components(_one(ns, "n"), _one(ns, "m")), ns.format
-        )
-    if which == "gnm-bound":
-        return _value_output(
-            closedforms.gnm_expectation_lower_bound(_one(ns, "n"), _one(ns, "m")), ns.format
-        )
-    if which == "q":
-        value = closedforms.bipartite_q(
-            _one(ns, "s"), _one(ns, "t"), _one(ns, "a"), _one(ns, "b"), _one(ns, "l")
-        )
-        return _value_output(value, ns.format)
-    raise _UsageError(f"unknown closed formula {which!r}")
-
-
-def _one(ns: argparse.Namespace, name: str) -> int:
-    value = getattr(ns, name)
-    if value is None:
-        raise _UsageError(f"closed {ns.formula} requires --{name}")
-    return value
+    formula, flags, output = _CLOSED_FORMULAS[ns.formula]
+    return output(formula(*_required(ns, f"closed {ns.formula}", *flags)), ns.format)
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> str:
@@ -230,31 +215,23 @@ def _cmd_decay(ns: argparse.Namespace) -> str:
     return "\n".join(json.dumps(row.to_json_dict()) for row in rows)
 
 
+# search -> report finder taking --n
+_PAIR_SEARCHES = {
+    "pairs": search.find_equal_polynomial_pairs,
+    "twins": search.find_edge_degree_twins,
+    "trees": search.find_tree_pairs,
+}
+
+
 def _cmd_search(ns: argparse.Namespace) -> str:
-    kind = ns.what
-    if kind == "pairs":
-        reports = search.find_equal_polynomial_pairs(_required_n(ns))
-        return "\n".join(json.dumps(r.to_json_dict()) for r in reports)
-    if kind == "twins":
-        reports = search.find_edge_degree_twins(_required_n(ns))
-        return "\n".join(json.dumps(r.to_json_dict()) for r in reports)
-    if kind == "trees":
-        reports = search.find_tree_pairs(_required_n(ns))
-        return "\n".join(json.dumps(r.to_json_dict()) for r in reports)
-    if kind == "logconcave":
-        if ns.max_n is None:
-            raise _UsageError("search logconcave requires --max-n")
-        violations = search.sweep_log_concavity(ns.max_n)
+    context = f"search {ns.what}"
+    if ns.what == "logconcave":
+        violations = search.sweep_log_concavity(*_required(ns, context, "max-n"))
         return "\n".join(
             json.dumps({"graph6": serialize_graph6(g)}) for g in violations
         )
-    raise _UsageError(f"unknown search {kind!r}")
-
-
-def _required_n(ns: argparse.Namespace) -> int:
-    if ns.n is None:
-        raise _UsageError(f"search {ns.what} requires --n")
-    return ns.n
+    reports = _PAIR_SEARCHES[ns.what](*_required(ns, context, "n"))
+    return "\n".join(json.dumps(r.to_json_dict()) for r in reports)
 
 
 def _cmd_conjecture(ns: argparse.Namespace) -> str:
@@ -317,8 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_cheeger)
 
     sub = subs.add_parser("closed", help="closed-form values")
-    sub.add_argument("formula", choices=["kn", "kst", "path", "cycle1",
-                                         "gnm-expect", "gnm-bound", "q"])
+    sub.add_argument("formula", choices=list(_CLOSED_FORMULAS))
     for flag in ("n", "s", "t", "a", "b", "m"):
         sub.add_argument(f"--{flag}", type=int, action=_Once)
     sub.add_argument("--l", type=int, action=_Once, help="q: tree count argument")
@@ -350,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_decay)
 
     sub = subs.add_parser("search", help="exhaustive small-graph searches")
-    sub.add_argument("what", choices=["pairs", "twins", "trees", "logconcave"])
+    sub.add_argument("what", choices=[*_PAIR_SEARCHES, "logconcave"])
     sub.add_argument("--n", type=int, action=_Once)
     sub.add_argument("--max-n", type=int, action=_Once)
     fmt(sub)

@@ -137,7 +137,7 @@ class PolynomialEngine:
     docstring.  Solved components are cached by their labelled edge set
     (vertex count plus edge bitmask) in two tables, full laws and k=1
     values, so a sweep that meets the same labelled component twice solves
-    it once; `memoize=False` turns the cache off.
+    it once.
 
     `max_memo_entries` bounds the matchings held at once while solving (two
     levels, j-1 and j edges) and the entries of each cache table; exceeding
@@ -147,8 +147,7 @@ class PolynomialEngine:
     quarter of a gigabyte (K_13, at about 405k matchings, peaks at 98 MB).
     """
 
-    def __init__(self, memoize: bool = True, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
-        self.memoize = memoize
+    def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
         self.max_memo_entries = max_memo_entries
         self._poly: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._one: dict[tuple[int, int], Fraction] = {}
@@ -171,9 +170,7 @@ class PolynomialEngine:
         return self._solve(self._one, g, lambda law: law[1])
 
     def _solve(self, table: dict, comp: Graph, value):
-        """value(law of comp), through `table` when memoizing."""
-        if not self.memoize:
-            return value(_law(self._matching_sums(comp)))
+        """value(law of comp), through `table`."""
         mask = 0
         for u, v in comp.edges:
             mask |= 1 << (v * (v - 1) // 2 + u)

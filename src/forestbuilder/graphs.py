@@ -206,16 +206,16 @@ def edge_codegree(g: Graph, edge_id: int) -> int:
     return degs[u] + degs[v] - 2
 
 
-def cheeger_constant(g: Graph, cap: int = CHEEGER_VERTEX_CAP) -> Fraction:
+def cheeger_constant(g: Graph) -> Fraction:
     """Edge-expansion constant min |E(X, V-X)| / vol(X) over vol(X) <= vol(V)/2.
 
-    Exhaustive over vertex subsets, so capped at `cap` vertices.  Volume is
+    Exhaustive over vertex subsets, so capped at CHEEGER_VERTEX_CAP vertices.  Volume is
     the degree sum of X.  Disconnected graphs have constant 0.
     """
     if g.m == 0:
         raise EmptyGraph("cheeger constant needs at least one edge")
-    if g.n > cap:
-        raise SizeCapExceeded(f"cheeger cap is {cap} vertices, got {g.n}")
+    if g.n > CHEEGER_VERTEX_CAP:
+        raise SizeCapExceeded(f"cheeger cap is {CHEEGER_VERTEX_CAP} vertices, got {g.n}")
     if not is_connected(g):
         return Fraction(0)
     masks = g.adjacency_masks()

@@ -7,9 +7,10 @@
 since the last edge e of a uniform ordering is uniform, and in a connected
 graph with at least two edges an earlier edge touches one of its endpoints,
 so e starts no tree and kappa is that of the rest of the ordering on G - e.
-Component laws are memoized by canonical key, so inputs are limited to the
-canonical vertex cap, and the cost grows with the number of distinct
-subgraphs: tests call it on small graphs only.
+Component laws are memoized by canonical key (the graph6 string of the
+canonical form), so inputs are limited to the canonical vertex cap, and the
+cost grows with the number of distinct subgraphs: tests call it on small
+graphs only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .graphs import Graph, components
 
 
 def recurrence_distribution(
-    g: Graph, memo: dict[bytes, dict[int, Fraction]] | None = None
+    g: Graph, memo: dict[str, dict[int, Fraction]] | None = None
 ) -> ForestDistribution:
     """Exact p_G by the deletion recurrence, independent of PolynomialEngine.
 

@@ -1,8 +1,11 @@
 """Exhaustive small-graph searches over process polynomials.
 
-Enumeration works over isomorphism classes (canonical-key dedup of edge or
-leaf augmentations), and every search reports replayable records: graphs as
-graph6 strings plus the exact polynomials involved.
+Each isomorphism class is carried as one canonical graph6 string, its
+canonical key.  Enumeration dedups each level of edge or leaf augmentations
+by that key and parses the representatives from it, so a representative is
+a canonical form whose own graph6 is its key: it is never keyed twice.
+Every search reports replayable records: graphs as graph6 strings plus the
+exact polynomials involved.
 """
 
 from __future__ import annotations
@@ -10,19 +13,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from .canon import canonical_key, is_edge_transitive
 from .distribution import ForestDistribution
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
 from .families import balanced_bipartite_plus_edge, complete_bipartite
-from .graph6 import parse_graph6
+from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph, is_connected
 
 SEARCH_VERTEX_CAP = 7
 TREE_VERTEX_CAP = 10
 EXHAUSTIVE_VERTEX_CAP = 6
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
+
+
+def _grow(
+    level: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
+) -> dict[str, Graph]:
+    """The first child met of each class among the children of `level`, by canonical key."""
+    nxt: dict[str, Graph] = {}
+    for g in level:
+        for h in children(g):
+            nxt.setdefault(canonical_key(h), h)
+    return nxt
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -35,26 +50,19 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     """
     if not 2 <= n <= SEARCH_VERTEX_CAP:
         raise SizeCapExceeded(f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}")
+    pairs = list(combinations(range(n), 2))
+
+    def add_edge(g: Graph) -> Iterator[Graph]:
+        present = g.edge_set()
+        return (Graph(n, g.edges + (e,)) for e in pairs if e not in present)
+
     empty = Graph(n, ())
-    level: dict[bytes, Graph] = {canonical_key(empty): empty}
-    found: list[tuple[int, bytes]] = []
-    total_pairs = n * (n - 1) // 2
-    for m in range(1, total_pairs + 1):
-        nxt: dict[bytes, Graph] = {}
-        for g in level.values():
-            present = g.edge_set()
-            for u, v in combinations(range(n), 2):
-                if (u, v) in present:
-                    continue
-                h = Graph(n, g.edges + ((u, v),))
-                key = canonical_key(h)
-                if key not in nxt:
-                    nxt[key] = h
-        level = nxt
-        for key, g in nxt.items():
-            if is_connected(g):
-                found.append((m, key))
-    return [parse_graph6(key.decode("ascii")) for _, key in sorted(found)]
+    level = {canonical_key(empty): empty}
+    found: list[tuple[int, str]] = []
+    for m in range(1, len(pairs) + 1):
+        level = _grow(level.values(), add_edge)
+        found.extend((m, key) for key, g in level.items() if is_connected(g))
+    return [parse_graph6(key) for _, key in sorted(found)]
 
 
 def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
@@ -62,18 +70,13 @@ def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
     if not 2 <= n <= EXHAUSTIVE_VERTEX_CAP:
         raise SizeCapExceeded(f"exhaustive enumeration cap is 2..{EXHAUSTIVE_VERTEX_CAP}")
     pairs = list(combinations(range(n), 2))
-    seen: set[bytes] = set()
-    found: list[tuple[int, bytes]] = []
+    found: dict[str, int] = {}  # canonical key -> edge count
     for subset in range(1 << len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if (subset >> i) & 1)
         g = Graph(n, edges)
-        if not is_connected(g):
-            continue
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            found.append((len(edges), key))
-    return [parse_graph6(key.decode("ascii")) for _, key in sorted(found)]
+        if is_connected(g):
+            found.setdefault(canonical_key(g), len(edges))
+    return [parse_graph6(key) for key in sorted(found, key=lambda key: (found[key], key))]
 
 
 def enumerate_trees(n: int) -> list[Graph]:
@@ -84,20 +87,15 @@ def enumerate_trees(n: int) -> list[Graph]:
     """
     if not 1 <= n <= TREE_VERTEX_CAP:
         raise SizeCapExceeded(f"tree enumeration cap is 1..{TREE_VERTEX_CAP}")
-    level: dict[bytes, Graph] = {}
+
+    def add_leaf(t: Graph) -> Iterator[Graph]:
+        return (Graph(t.n + 1, t.edges + ((host, t.n),)) for host in range(t.n))
+
     single = Graph(1, ())
-    level[canonical_key(single)] = single
-    for size in range(2, n + 1):
-        nxt: dict[bytes, Graph] = {}
-        for t in level.values():
-            for host in range(t.n):
-                h = Graph(t.n + 1, t.edges + ((host, t.n),))
-                key = canonical_key(h)
-                if key not in nxt:
-                    nxt[key] = h
-        level = nxt
-    keys = sorted(level)
-    return [parse_graph6(key.decode("ascii")) for key in keys]
+    level = {canonical_key(single): single}
+    for _ in range(2, n + 1):
+        level = _grow(level.values(), add_leaf)
+    return [parse_graph6(key) for key in sorted(level)]
 
 
 def labeled_trees_prufer(n: int):
@@ -147,8 +145,6 @@ def labeled_trees_prufer(n: int):
 class PairReport:
     """Two non-isomorphic graphs sharing one exact polynomial."""
 
-    key_a: bytes
-    key_b: bytes
     graph6_a: str
     graph6_b: str
     shared_polynomial: ForestDistribution
@@ -167,8 +163,6 @@ class PairReport:
 class TwinReport:
     """Two graphs with equal edge-value multisets but different polynomials."""
 
-    key_a: bytes
-    key_b: bytes
     graph6_a: str
     graph6_b: str
     expected_components: Fraction
@@ -205,43 +199,55 @@ class ConjectureReport:
 
 
 def _corollary4_explains(a: Graph, b: Graph) -> bool:
-    """One graph edge-transitive and the other isomorphic to it minus an edge."""
+    """One graph edge-transitive and the other isomorphic to it minus an edge.
+
+    Both are representatives, so the smaller one's graph6 is its key.
+    """
     for big, small in ((a, b), (b, a)):
         if big.m != small.m + 1 or big.m < 2:
             continue
         if not is_edge_transitive(big):
             continue
         # edge-transitive: all single deletions are isomorphic, test one
-        if canonical_key(big.delete_edge(0)) == canonical_key(small):
+        if canonical_key(big.delete_edge(0)) == serialize_graph6(small):
             return True
     return False
+
+
+_Member = tuple[str, Graph, ForestDistribution]
+
+
+def _bucketed_pairs(
+    graphs: list[Graph],
+    engine: PolynomialEngine | None,
+    signature: Callable[[Graph, ForestDistribution], tuple],
+) -> Iterator[tuple[_Member, _Member]]:
+    """Pairs of representatives with equal signatures, as (graph6, graph, p_G).
+
+    Pairs come in signature order, then graph6 order.
+    """
+    buckets: dict[tuple, list[_Member]] = {}
+    for g in graphs:
+        dist = forest_polynomial(g, engine)
+        buckets.setdefault(signature(g, dist), []).append((serialize_graph6(g), g, dist))
+    for sig in sorted(buckets):
+        yield from combinations(sorted(buckets[sig], key=lambda item: item[0]), 2)
 
 
 def _pair_reports(
     graphs: list[Graph], engine: PolynomialEngine | None
 ) -> list[PairReport]:
-    buckets: dict[tuple, list[tuple[bytes, Graph, ForestDistribution]]] = {}
-    for g in graphs:
-        dist = forest_polynomial(g, engine)
-        signature = tuple(sorted(dist.probs.items()))
-        buckets.setdefault(signature, []).append((canonical_key(g), g, dist))
-    reports = []
-    for signature in sorted(buckets):
-        members = sorted(buckets[signature], key=lambda item: item[0])
-        if len(members) < 2:
-            continue
-        for (key_a, ga, dist), (key_b, gb, _) in combinations(members, 2):
-            reports.append(
-                PairReport(
-                    key_a,
-                    key_b,
-                    key_a.decode("ascii"),
-                    key_b.decode("ascii"),
-                    dist,
-                    _corollary4_explains(ga, gb),
-                )
-            )
-    return reports
+    return [
+        PairReport(g6a, g6b, dist, _corollary4_explains(ga, gb))
+        for (g6a, ga, dist), (g6b, gb, _) in _bucketed_pairs(
+            graphs, engine, lambda g, dist: tuple(sorted(dist.probs.items()))
+        )
+    ]
+
+
+def _edge_degree_sums(g: Graph, _dist: ForestDistribution) -> tuple[int, ...]:
+    degs = g.degrees()
+    return tuple(sorted(degs[u] + degs[v] for u, v in g.edges))
 
 
 def find_equal_polynomial_pairs(
@@ -263,30 +269,13 @@ def find_edge_degree_twins(
     """
     if not 2 <= n <= SEARCH_VERTEX_CAP:
         raise SizeCapExceeded(f"twin search cap is 2..{SEARCH_VERTEX_CAP}")
-    buckets: dict[tuple, list[tuple[bytes, Graph, ForestDistribution]]] = {}
-    for g in enumerate_connected_graphs(n):
-        degs = g.degrees()
-        signature = tuple(sorted(degs[u] + degs[v] for u, v in g.edges))
-        dist = forest_polynomial(g, engine)
-        buckets.setdefault(signature, []).append((canonical_key(g), g, dist))
-    reports = []
-    for signature in sorted(buckets):
-        members = sorted(buckets[signature], key=lambda item: item[0])
-        for (key_a, ga, da), (key_b, gb, db) in combinations(members, 2):
-            if da.probs == db.probs:
-                continue
-            reports.append(
-                TwinReport(
-                    key_a,
-                    key_b,
-                    key_a.decode("ascii"),
-                    key_b.decode("ascii"),
-                    expected_components(ga),
-                    da,
-                    db,
-                )
-            )
-    return reports
+    return [
+        TwinReport(g6a, g6b, expected_components(ga), da, db)
+        for (g6a, ga, da), (g6b, _, db) in _bucketed_pairs(
+            enumerate_connected_graphs(n), engine, _edge_degree_sums
+        )
+        if da.probs != db.probs
+    ]
 
 
 def check_conjecture(k: int, engine: PolynomialEngine | None = None) -> ConjectureReport:

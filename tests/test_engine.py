@@ -233,10 +233,6 @@ def test_memoization_controls():
     own.distribution(complete_graph(5))
     polys, _ones = own.memo_sizes()
     assert polys > 0
-    plain = PolynomialEngine(memoize=False)
-    dist = plain.distribution(complete_graph(4))
-    assert dist.probs == {1: Fraction(4, 5), 2: Fraction(1, 5)}
-    assert plain.memo_sizes() == (0, 0)
     tight = PolynomialEngine(max_memo_entries=2)
     with pytest.raises(MemoryBudgetExceeded):
         tight.distribution(complete_graph(5))

@@ -7,7 +7,7 @@ import pytest
 from forestbuilder.canon import canonical_key, is_edge_transitive
 from forestbuilder.engine import expected_components, forest_polynomial
 from forestbuilder.errors import SizeCapExceeded
-from forestbuilder.graph6 import parse_graph6
+from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph, is_connected
 from forestbuilder.search import (
     check_conjecture,
@@ -26,9 +26,9 @@ CONNECTED_CLASS_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_CLASS_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 
 
-def test_connected_class_counts():
+def test_connected_class_counts(connected_classes):
     for n, count in CONNECTED_CLASS_COUNTS.items():
-        assert len(enumerate_connected_graphs(n)) == count
+        assert len(connected_classes[n]) == count
     with pytest.raises(SizeCapExceeded):
         enumerate_connected_graphs(1)
     with pytest.raises(SizeCapExceeded):
@@ -49,6 +49,16 @@ def test_enumeration_representatives_are_connected_and_ordered():
     assert all(g.n == 5 and is_connected(g) for g in reps)
     order = [(g.m, canonical_key(g)) for g in reps]
     assert order == sorted(order)
+
+
+def test_representatives_are_their_own_keys(connected_classes):
+    # representatives are canonical forms, so their graph6 is the class key
+    for graphs in connected_classes.values():
+        for g in graphs:
+            assert serialize_graph6(g) == canonical_key(g)
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert serialize_graph6(t) == canonical_key(t)
 
 
 def test_tree_enumeration_counts():
@@ -109,6 +119,35 @@ def test_smallest_pairs_are_the_known_ones(engine):
     assert payload["shared_polynomial"]["probs"] == {"1": "1/1"}
 
 
+def test_pair_census_pinned(engine):
+    # pinned from the output of the search while its keys were bytes
+    pinned = {
+        5: [
+            ("DqG", "DqK", True),
+            ("DsW", "Ds[", True),
+            ("DsW", "D}K", False),
+            ("Ds[", "D}K", False),
+            ("D{c", "D}k", False),
+            ("D}G", "D}g", False),
+            ("D~w", "D~{", True),
+        ],
+        6: [
+            ("EqGO", "EqGW", True),
+            ("Es\\_", "Es\\o", True),
+            ("E}lo", "E}lw", True),
+            ("E~~o", "E~~w", True),
+            ("Es`o", "Es`w", True),
+            ("EsP?", "E}G_", False),
+            ("Es`?", "E{`?", False),
+        ],
+    }
+    for n, expected in pinned.items():
+        reports = find_equal_polynomial_pairs(n, engine)
+        assert [
+            (r.graph6_a, r.graph6_b, r.explained_by_corollary4) for r in reports
+        ] == expected
+
+
 def test_explained_flags_confirmed_by_direct_recomputation(engine):
     # an explained pair is one edge-transitive graph and the other graph
     # isomorphic to it minus an edge; re-derive that from scratch, trying
@@ -145,6 +184,28 @@ def test_edge_degree_twins(engine):
         assert expected_components(ga) == tw.expected_components
         assert expected_components(gb) == tw.expected_components
     assert Fraction(17, 10) in {tw.expected_components for tw in twins}
+
+
+def test_edge_degree_twins_pinned(engine):
+    # pinned from the output of the search while its keys were bytes
+    expected = [
+        ("EsWO", "E{CG", Fraction(23, 12)),
+        ("EsX?", "E{CO", Fraction(17, 10)),
+        ("EsXO", "E{CW", Fraction(28, 15)),
+        ("EsXO", "E{OW", Fraction(28, 15)),
+        ("E{CW", "E{OW", Fraction(28, 15)),
+        ("Es\\?", "E{SO", Fraction(26, 15)),
+        ("E}Gg", "E}_g", Fraction(53, 30)),
+        ("Es\\_", "E{SW", Fraction(9, 5)),
+        ("Es\\_", "E{So", Fraction(9, 5)),
+        ("E{SW", "E{So", Fraction(9, 5)),
+        ("E}hO", "E}oo", Fraction(359, 210)),
+        ("E}Kg", "E}_w", Fraction(7, 4)),
+        ("Es\\o", "E{Sw", Fraction(9, 5)),
+        ("E}hW", "E}ow", Fraction(61, 35)),
+    ]
+    twins = find_edge_degree_twins(6, engine)
+    assert [(t.graph6_a, t.graph6_b, t.expected_components) for t in twins] == expected
 
 
 def test_conjecture_small_cases(engine):
