@@ -16,11 +16,11 @@ from pathlib import Path
 from . import closedforms, montecarlo, search
 from .distribution import ForestDistribution, format_fraction
 from .engine import brute_force_distribution, forest_polynomial, single_component_probability, expected_components
-from .errors import ForestBuilderError
+from .errors import ForestBuilderError, SizeCapExceeded
 from .families import GeneratorSpec, generate
 from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph, cheeger_constant, parse_edge_list
-from .search import enumerate_connected_graphs, enumerate_trees
+from .search import SEARCH_VERTEX_CAP, TREE_VERTEX_CAP, enumerate_connected_graphs, enumerate_trees
 
 
 class _UsageError(Exception):
@@ -159,16 +159,17 @@ def _cmd_poly(ns: argparse.Namespace) -> str:
     return _distribution_output(dist, ns.format)
 
 
-def _cmd_expect(ns: argparse.Namespace) -> str:
-    return _value_output(expected_components(_graph_from_args(ns)), ns.format)
+# scalar graph command -> (help text, value function)
+_GRAPH_VALUES = {
+    "expect": ("exact expected component count", expected_components),
+    "one-comp": ("exact single-component probability", single_component_probability),
+    "cheeger": ("exact Cheeger constant", cheeger_constant),
+}
 
 
-def _cmd_one_comp(ns: argparse.Namespace) -> str:
-    return _value_output(single_component_probability(_graph_from_args(ns)), ns.format)
-
-
-def _cmd_cheeger(ns: argparse.Namespace) -> str:
-    return _value_output(cheeger_constant(_graph_from_args(ns)), ns.format)
+def _cmd_value(ns: argparse.Namespace) -> str:
+    _help, value = _GRAPH_VALUES[ns.command]
+    return _value_output(value(_graph_from_args(ns)), ns.format)
 
 
 # closed formula -> (closedforms function, required flags in argument order, output)
@@ -244,8 +245,12 @@ def _cmd_conjecture(ns: argparse.Namespace) -> str:
 def _cmd_table(ns: argparse.Namespace) -> str:
     if ns.which == "small-graphs":
         enumerate_graphs, label = enumerate_connected_graphs, "connected classes"
+        cap, past_cap = SEARCH_VERTEX_CAP, f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}"
     else:
         enumerate_graphs, label = enumerate_trees, "trees"
+        cap, past_cap = TREE_VERTEX_CAP, f"tree enumeration cap is 1..{TREE_VERTEX_CAP}"
+    if ns.max_n > cap:
+        raise SizeCapExceeded(past_cap)
     lines = []
     for n in range(2, ns.max_n + 1):
         graphs = enumerate_graphs(n)
@@ -278,20 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt(sub)
     sub.set_defaults(handler=_cmd_poly)
 
-    sub = subs.add_parser("expect", help="exact expected component count")
-    _add_source_flags(sub)
-    fmt(sub)
-    sub.set_defaults(handler=_cmd_expect)
-
-    sub = subs.add_parser("one-comp", help="exact single-component probability")
-    _add_source_flags(sub)
-    fmt(sub)
-    sub.set_defaults(handler=_cmd_one_comp)
-
-    sub = subs.add_parser("cheeger", help="exact Cheeger constant")
-    _add_source_flags(sub)
-    fmt(sub)
-    sub.set_defaults(handler=_cmd_cheeger)
+    for command, (text, _value) in _GRAPH_VALUES.items():
+        sub = subs.add_parser(command, help=text)
+        _add_source_flags(sub)
+        fmt(sub)
+        sub.set_defaults(handler=_cmd_value)
 
     sub = subs.add_parser("closed", help="closed-form values")
     sub.add_argument("formula", choices=list(_CLOSED_FORMULAS))

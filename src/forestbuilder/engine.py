@@ -134,14 +134,14 @@ class PolynomialEngine:
     """Evaluator for exact distributions and one-component values.
 
     Each connected component is solved by the matching sums of the module
-    docstring.  Solved components are cached by their labelled edge set
-    (vertex count plus edge bitmask) in two tables, full laws and k=1
-    values, so a sweep that meets the same labelled component twice solves
-    it once.
+    docstring.  Solved laws are kept in one cache keyed by the labelled
+    edge set (vertex count plus edge bitmask), so a sweep that meets the
+    same labelled component twice solves it once, and P(G,1) is read from
+    the cached law of G.
 
     `max_memo_entries` bounds the matchings held at once while solving (two
-    levels, j-1 and j edges) and the entries of each cache table; exceeding
-    it raises MemoryBudgetExceeded rather than thrashing.  It counts
+    levels, j-1 and j edges) and the entries of the law cache; exceeding it
+    raises MemoryBudgetExceeded rather than thrashing.  It counts
     matchings, not bytes: each held matching carries an integer of about
     log2(m!) bits, so a solve near the 2^20 default can hold about a
     quarter of a gigabyte (K_13, at about 405k matchings, peaks at 98 MB).
@@ -149,41 +149,38 @@ class PolynomialEngine:
 
     def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
         self.max_memo_entries = max_memo_entries
-        self._poly: dict[tuple[int, int], dict[int, Fraction]] = {}
-        self._one: dict[tuple[int, int], Fraction] = {}
+        self._laws: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def distribution(self, g: Graph) -> ForestDistribution:
         """Exact p_G as a distribution; edgeless graphs give the empty map."""
         acc = {0: Fraction(1)}
-        pieces, _ = components(g)
-        for piece, _vmap in pieces:
-            acc = convolve(acc, self._solve(self._poly, piece, lambda law: law))
+        for piece in components(g):
+            acc = convolve(acc, self._component_law(piece))
         probs = {k: v for k, v in acc.items() if k > 0}
         return ForestDistribution(g.n, g.m, probs)
 
     def one_component(self, g: Graph) -> Fraction:
-        """P(G,1) for a connected graph: coefficient 1 of the same sums."""
+        """P(G,1) for a connected graph: coefficient 1 of its cached law."""
         if g.m == 0:
             raise EmptyGraph("one-component probability needs at least one edge")
         if not is_connected(g):
             raise DisconnectedInput("one-component probability needs a connected graph")
-        return self._solve(self._one, g, lambda law: law[1])
+        return self._component_law(g)[1]
 
-    def _solve(self, table: dict, comp: Graph, value):
-        """value(law of comp), through `table`."""
+    def _component_law(self, comp: Graph) -> dict[int, Fraction]:
+        """The law of a connected component, solved once per labelled edge set."""
         mask = 0
         for u, v in comp.edges:
             mask |= 1 << (v * (v - 1) // 2 + u)
         key = (comp.n, mask)
-        cached = table.get(key)
-        if cached is None:
-            cached = value(_law(self._matching_sums(comp)))
-            if len(table) >= self.max_memo_entries:
+        law = self._laws.get(key)
+        if law is None:
+            if len(self._laws) >= self.max_memo_entries:
                 raise MemoryBudgetExceeded(
                     f"memo budget of {self.max_memo_entries} entries exhausted"
                 )
-            table[key] = cached
-        return cached
+            law = self._laws[key] = _law(self._matching_sums(comp))
+        return law
 
     def _matching_sums(self, comp: Graph) -> list[int]:
         """[E_0, E_1, ...] for a connected component, one matching level at a time.
@@ -234,9 +231,9 @@ class PolynomialEngine:
             sums.append(sum(nxt.values()))
             level = nxt
 
-    def memo_sizes(self) -> tuple[int, int]:
-        """Cached component laws and cached one-component values."""
-        return len(self._poly), len(self._one)
+    def memo_sizes(self) -> tuple[int]:
+        """The number of cached component laws, as a one-element tuple."""
+        return (len(self._laws),)
 
 
 def _law(sums: list[int]) -> dict[int, Fraction]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import GenerationTimeout, InfeasibleSpec
-from .graphs import Graph, from_edge_list
+from .graphs import Graph
 from .rng import SplitMix64, derive_seed
 
 _REGULAR_RETRY_CAP = 10_000

@@ -136,67 +136,49 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reach(masks: list[int], start: int) -> int:
+    """Bitmask of the vertices reachable from `start` over neighbor bitmasks."""
+    seen = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
+    return g.n <= 1 or _reach(g.adjacency_masks(), 0) == (1 << g.n) - 1
+
+
+def components(g: Graph) -> list[Graph]:
+    """The connected components that have edges, in order of least vertex.
+
+    Each is relabelled 0..k-1 in vertex order and keeps its edges in the
+    original relative order; isolated vertices give no component.
+    """
     masks = g.adjacency_masks()
-    seen = 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        rest = masks[u] & ~seen
+    least = [0] * g.n  # vertex -> least vertex of its component
+    index = [0] * g.n  # vertex -> its label within its component
+    sizes = {}
+    unseen = (1 << g.n) - 1
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        rest = _reach(masks, start)
+        unseen ^= rest
+        size = 0
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            seen |= low
-            stack.append(v)
-    return seen == (1 << g.n) - 1
-
-
-def components(g: Graph) -> tuple[list[tuple[Graph, tuple[int, ...]]], int]:
-    """Split into edge-bearing connected components plus an isolated count.
-
-    Returns ([(subgraph, vertex_map), ...], isolated_vertices) where
-    vertex_map[i] is the original label of the subgraph's vertex i.  Each
-    subgraph keeps its edges in the original relative order.
-    """
-    masks = g.adjacency_masks()
-    comp_id = [-1] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if comp_id[start] >= 0:
-            continue
-        cid = len(comps)
-        members = [start]
-        comp_id[start] = cid
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            rest = masks[u]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                if comp_id[v] < 0:
-                    comp_id[v] = cid
-                    members.append(v)
-                    stack.append(v)
-        comps.append(sorted(members))
-
-    pieces: list[tuple[Graph, tuple[int, ...]]] = []
-    isolated = 0
-    comp_edges: dict[int, list[tuple[int, int]]] = {}
+            least[v], index[v] = start, size
+            size += 1
+        sizes[start] = size
+    edges: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges:
-        comp_edges.setdefault(comp_id[u], []).append((u, v))
-    for cid, members in enumerate(comps):
-        if cid not in comp_edges:
-            isolated += 1
-            continue
-        index = {old: new for new, old in enumerate(members)}
-        edges = tuple((index[u], index[v]) for u, v in comp_edges[cid])
-        pieces.append((Graph(len(members), edges), tuple(members)))
-    return pieces, isolated
+        edges.setdefault(least[u], []).append((index[u], index[v]))
+    return [Graph(sizes[s], tuple(e)) for s, e in sorted(edges.items())]
 
 
 def edge_codegree(g: Graph, edge_id: int) -> int:

@@ -102,7 +102,9 @@ class DecayRow:
         return {
             "n": self.n,
             "p1_hat": self.p1_hat,
-            "neg_log_p1_over_n": self.neg_log_p1_over_n,
+            # JSON has no infinity: a row with p1_hat 0 writes null
+            "neg_log_p1_over_n": None if math.isinf(self.neg_log_p1_over_n) else
+            self.neg_log_p1_over_n,
             "cheeger": None if self.cheeger is None else
             f"{self.cheeger.numerator}/{self.cheeger.denominator}",
         }

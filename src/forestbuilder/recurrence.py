@@ -34,8 +34,7 @@ def recurrence_distribution(
 
     def product(h: Graph) -> dict[int, Fraction]:
         acc = {0: Fraction(1)}
-        pieces, _ = components(h)
-        for piece, _vmap in pieces:
+        for piece in components(h):
             acc = convolve(acc, component(piece))
         return acc
 

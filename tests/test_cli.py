@@ -285,3 +285,26 @@ def test_computation_errors_exit_one(capsys):
     capsys.readouterr()
     assert run(["cheeger", "--family", "kn", "--n", "25"]) == 1
     capsys.readouterr()
+
+
+def test_decay_json_writes_null_for_an_infinite_rate(capsys):
+    argv = ["decay", "--d", "3", "--n-values", "30", "--trials", "20", "--seed", "1"]
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    row = json.loads(_ok(capsys, argv), parse_constant=reject)
+    assert row["p1_hat"] == 0 and row["neg_log_p1_over_n"] is None
+    csv_row = _ok(capsys, argv + ["--format", "csv"]).splitlines()[1]
+    assert csv_row.split(",")[2] == "inf"
+
+
+def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("forestbuilder.cli.enumerate_connected_graphs", calls.append)
+    monkeypatch.setattr("forestbuilder.cli.enumerate_trees", calls.append)
+    assert run(["table", "small-graphs", "--max-n", "8"]) == 1
+    assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
+    assert run(["table", "trees", "--max-n", "11"]) == 1
+    assert capsys.readouterr().err == "error: tree enumeration cap is 1..10\n"
+    assert calls == []

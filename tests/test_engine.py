@@ -221,6 +221,15 @@ def test_single_component_values(engine):
         single_component_probability(from_edge_list(4, [(0, 1), (2, 3)]), engine)
 
 
+def test_one_component_reads_the_cached_law():
+    own = PolynomialEngine()
+    g = random_regular_graph(10, 3, 1)
+    dist = own.distribution(g)
+    sizes = own.memo_sizes()
+    assert own.one_component(g) == dist.coefficient(1)
+    assert own.memo_sizes() == sizes
+
+
 def test_cubic_graph_past_the_canonical_cap(engine):
     g = random_regular_graph(20, 3, 0)
     dist = forest_polynomial(g, engine)
@@ -231,8 +240,8 @@ def test_cubic_graph_past_the_canonical_cap(engine):
 def test_memoization_controls():
     own = PolynomialEngine()
     own.distribution(complete_graph(5))
-    polys, _ones = own.memo_sizes()
-    assert polys > 0
+    (laws,) = own.memo_sizes()
+    assert laws > 0
     tight = PolynomialEngine(max_memo_entries=2)
     with pytest.raises(MemoryBudgetExceeded):
         tight.distribution(complete_graph(5))

@@ -17,6 +17,7 @@ from forestbuilder.families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    gnm_random_graph,
     path_graph,
     star_graph,
 )
@@ -122,21 +123,25 @@ def test_is_connected():
 
 def test_components_split_and_relabel():
     g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    pieces, isolated = components(g)
-    assert isolated == 0
-    (tri, tri_map), (edge, edge_map) = pieces
+    tri, edge = components(g)
     assert tri.edges == ((0, 1), (1, 2), (0, 2))
-    assert tri_map == (0, 1, 2)
     assert edge.edges == ((0, 1),)
-    assert edge_map == (3, 4)
 
 
-def test_components_counts_isolated_vertices():
-    pieces, isolated = components(Graph(3, ()))
-    assert pieces == [] and isolated == 3
-    pieces, isolated = components(from_edge_list(4, [(1, 2)]))
-    assert isolated == 2
-    assert pieces[0][1] == (1, 2)
+def test_components_skip_isolated_vertices():
+    assert components(Graph(3, ())) == []
+    assert components(from_edge_list(4, [(1, 2)])) == [Graph(2, ((0, 1),))]
+
+
+def test_components_partition_the_edges_of_random_graphs():
+    for seed in range(300):
+        n = 1 + seed % 12
+        g = gnm_random_graph(n, seed * 7 % (n * (n - 1) // 2 + 1), seed)
+        pieces = components(g)
+        assert all(is_connected(piece) for piece in pieces)
+        assert sum(piece.m for piece in pieces) == g.m
+        assert sum(piece.n for piece in pieces) == sum(1 for d in g.degrees() if d)
+        assert is_connected(g) == (n <= 1 or (len(pieces) == 1 and pieces[0].n == n))
 
 
 def test_edge_codegree():
