@@ -4,12 +4,15 @@ The canonical form is the vertex ordering whose upper-triangle adjacency
 bits (in graph6 column-major order) are lexicographically largest; two
 graphs get the same canonical form exactly when they are isomorphic.  The
 search places one vertex at a time, comparing the growing bit string against
-the best complete ordering found so far.  Two refinements keep symmetric
+the best complete ordering found so far.  Three prunings keep symmetric
 inputs from exploding factorially:
 
 * prefix pruning: a partial ordering whose bits fall below the incumbent's
   at the current depth cannot lead to a maximum, and siblings are scanned in
   decreasing bit order so the whole remainder of the candidate list dies;
+* twin pruning: two unplaced twins (N(u) minus v equals N(v) minus u) are
+  swapped by an automorphism that fixes the placed prefix, so only one
+  vertex per twin class is tried at each node;
 * automorphism pruning: every tie at a leaf exhibits an automorphism (the
   map sending the incumbent ordering to the tied one).  Discovered
   automorphisms that fix the placed prefix pointwise identify candidate
@@ -18,12 +21,19 @@ inputs from exploding factorially:
 The automorphisms the search finds serve only this pruning.
 `canonical_form` relabels by the winning ordering, and `canonical_key` is
 the graph6 string of that form: the one identity of an isomorphism class,
-which `parse_graph6` turns back into the canonical form itself.  This is
-exhaustive search, not a refinement-based tool, so it is capped at
-CANONICAL_VERTEX_CAP vertices.
+which `parse_graph6` turns back into the canonical form itself.  This
+exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP vertices.
+
+Enumeration dedups by a cheaper complete invariant, `_certificate`: colour
+refinement to an equitable partition plus individualization (McKay and
+Piperno, Practical graph isomorphism II, 2014).  It is not a graph6 string
+and never leaves the search layer, which puts each kept class in lexmax
+form once.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import SizeCapExceeded
 from .graphs import Graph
@@ -34,13 +44,18 @@ CANONICAL_VERTEX_CAP = 16
 _MAX_STORED_AUTOMORPHISMS = 64
 
 
+def _twins(masks: list[int], u: int, v: int) -> bool:
+    """Whether N(u) minus v equals N(v) minus u: swapping u and v is an automorphism."""
+    return not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v))
+
+
 def _search(n: int, masks: list[int]) -> list[int]:
     """Return the canonical ordering: ordering[pos] is the vertex at pos.
 
-    The automorphisms it prunes with are vertex maps discovered at tie
-    leaves.  Inner loops are written for speed: candidates sort as plain
-    (-bits, v) tuples, and the one-bit-per-vertex update is undone by
-    shifting back rather than saving.
+    The automorphisms it prunes with are twin swaps and vertex maps
+    discovered at tie leaves.  Inner loops are written for speed:
+    candidates sort as plain (-bits, v) tuples, and the one-bit-per-vertex
+    update is undone by shifting back rather than saving.
     """
     best_perm: list[int] | None = None
     best_cums: list[int] = [0] * n
@@ -79,6 +94,8 @@ def _search(n: int, masks: list[int]) -> list[int]:
                 child_tied = ncum == incumbent
             else:
                 child_tied = False
+            if tried and any(_twins(masks, u, v) for u in tried):
+                continue
             if tried and autos:
                 pruned = False
                 for sigma in autos:
@@ -132,6 +149,81 @@ def canonical_form(g: Graph) -> Graph:
 def canonical_key(g: Graph) -> str:
     """Complete isomorphism invariant: the graph6 string of the canonical form."""
     return serialize_graph6(canonical_form(g))
+
+
+def _refine(masks: list[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Coarsest equitable refinement of the ordered partition `cells`.
+
+    Each splitter (a vertex bitmask) splits every cell by its vertices'
+    neighbour counts in the splitter, pieces ordered by count, and every new
+    piece is queued as a splitter.  `splitters` must cover what `cells` is
+    not yet equitable against: the whole vertex set for the unit partition,
+    the new singleton after individualizing in an equitable partition.
+    Splits and order depend on the graph and the input, never on labels.
+    """
+    n = len(masks)
+    queue = deque(splitters)
+    while queue and len(cells) < n:
+        splitter = queue.popleft()
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            pieces: dict[int, list[int]] = {}
+            for v in cell:
+                pieces.setdefault((masks[v] & splitter).bit_count(), []).append(v)
+            if len(pieces) == 1:
+                split.append(cell)
+                continue
+            for count in sorted(pieces):
+                piece = pieces[count]
+                split.append(piece)
+                queue.append(sum(1 << v for v in piece))
+        cells = split
+    return cells
+
+
+def _certificate(g: Graph) -> tuple[int, ...]:
+    """Complete isomorphism invariant, cheaper than `canonical_key`.
+
+    Refines to an equitable partition, then individualizes each vertex of
+    the first smallest non-singleton cell in turn (one per twin class) and
+    refines again, down to discrete partitions.  Each discrete partition
+    orders the vertices; the certificate is the largest adjacency tuple
+    (row i: the adjacency bits of the i-th vertex to the earlier ones) over
+    those orderings.  It is not the lexmax ordering of `canonical_form`.
+    """
+    n = g.n
+    masks = g.adjacency_masks()
+    best: tuple[int, ...] = ()
+
+    def visit(cells: list[list[int]], splitters: list[int]) -> None:
+        nonlocal best
+        cells = _refine(masks, cells, splitters)
+        if len(cells) == n:
+            order = [v for v, in cells]
+            rows = []
+            for i, v in enumerate(order):
+                mv, row = masks[v], 0
+                for u in order[:i]:
+                    row = (row << 1) | ((mv >> u) & 1)
+                rows.append(row)
+            leaf = tuple(rows)
+            if leaf > best:
+                best = leaf
+            return
+        _, i = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[i]
+        tried: list[int] = []
+        for v in cell:
+            if any(_twins(masks, u, v) for u in tried):
+                continue
+            tried.append(v)
+            visit(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :], [1 << v])
+
+    visit([list(range(n))], [(1 << n) - 1])
+    return best
 
 
 def _vertex_maps(g: Graph):

@@ -92,15 +92,6 @@ def bipartite_expected_components(s: int, t: int) -> Fraction:
     return Fraction(s * t, s + t - 1)
 
 
-def expected_components_closed(family: str, *sizes: int) -> Fraction:
-    """Dispatch on family name: "complete" (n) or "complete_bipartite" (s, t)."""
-    if family == "complete":
-        return complete_expected_components(*sizes)
-    if family == "complete_bipartite":
-        return bipartite_expected_components(*sizes)
-    raise InvalidSize(f"no closed expectation for family {family!r}")
-
-
 def gnm_expected_components(n: int, m: int) -> Fraction:
     """E(kappa) over uniform G(n,m) and a uniform ordering.
 

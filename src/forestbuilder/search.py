@@ -1,11 +1,13 @@
 """Exhaustive small-graph searches over process polynomials.
 
-Each isomorphism class is carried as one canonical graph6 string, its
+Each isomorphism class is reported as one canonical graph6 string, its
 canonical key.  Enumeration dedups each level of edge or leaf augmentations
-by that key and parses the representatives from it, so a representative is
-a canonical form whose own graph6 is its key: it is never keyed twice.
-Every search reports replayable records: graphs as graph6 strings plus the
-exact polynomials involved.
+by the refinement certificate `canon._certificate`, which is much cheaper
+than the lexmax search behind the key, and computes `canonical_key` once
+per class it returns.  The representatives are parsed from those keys, so
+a representative is a canonical form whose own graph6 is its key: it is
+never keyed twice.  Every search reports replayable records: graphs as
+graph6 strings plus the exact polynomials involved.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_key, is_edge_transitive
+from .canon import _certificate, canonical_key, is_edge_transitive
 from .distribution import ForestDistribution
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
@@ -31,13 +33,18 @@ CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 
 def _grow(
     level: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
-) -> dict[str, Graph]:
-    """The first child met of each class among the children of `level`, by canonical key."""
-    nxt: dict[str, Graph] = {}
+) -> list[Graph]:
+    """The first child met of each class among the children of `level`.
+
+    Children are deduplicated by refinement certificate, so the kept graphs
+    carry whatever labelling their parent and augmentation gave them; they
+    are put in canonical form only by the caller, once per class it keeps.
+    """
+    nxt: dict[tuple[int, ...], Graph] = {}
     for g in level:
         for h in children(g):
-            nxt.setdefault(canonical_key(h), h)
-    return nxt
+            nxt.setdefault(_certificate(h), h)
+    return list(nxt.values())
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
@@ -45,7 +52,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 
     Grown by edge augmentation: every class with m edges arises from some
     class with m-1 edges (drop any edge), so augmenting all classes level by
-    level and deduplicating by canonical key is complete.  Representatives
+    level and deduplicating by certificate is complete.  Representatives
     are canonical forms, ordered by (edge count, canonical key).
     """
     if not 2 <= n <= SEARCH_VERTEX_CAP:
@@ -56,12 +63,11 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
         present = g.edge_set()
         return (Graph(n, g.edges + (e,)) for e in pairs if e not in present)
 
-    empty = Graph(n, ())
-    level = {canonical_key(empty): empty}
+    level = [Graph(n, ())]
     found: list[tuple[int, str]] = []
     for m in range(1, len(pairs) + 1):
-        level = _grow(level.values(), add_edge)
-        found.extend((m, key) for key, g in level.items() if is_connected(g))
+        level = _grow(level, add_edge)
+        found.extend((m, canonical_key(g)) for g in level if is_connected(g))
     return [parse_graph6(key) for _, key in sorted(found)]
 
 
@@ -91,54 +97,10 @@ def enumerate_trees(n: int) -> list[Graph]:
     def add_leaf(t: Graph) -> Iterator[Graph]:
         return (Graph(t.n + 1, t.edges + ((host, t.n),)) for host in range(t.n))
 
-    single = Graph(1, ())
-    level = {canonical_key(single): single}
+    level = [Graph(1, ())]
     for _ in range(2, n + 1):
-        level = _grow(level.values(), add_leaf)
-    return [parse_graph6(key) for key in sorted(level)]
-
-
-def labeled_trees_prufer(n: int):
-    """Yield every labeled tree on n vertices by decoding Prufer sequences.
-
-    Used as a completeness oracle for enumerate_trees at small n; the
-    sequence space is n^(n-2) so this is only for testing scale.
-    """
-    if n < 1:
-        raise SizeCapExceeded("needs n >= 1")
-    if n == 1:
-        yield Graph(1, ())
-        return
-    if n == 2:
-        yield Graph(2, ((0, 1),))
-        return
-
-    def decode(seq: tuple[int, ...]) -> Graph:
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        for v in seq:
-            for leaf in range(n):
-                if degree[leaf] == 1:
-                    edges.append((min(leaf, v), max(leaf, v)))
-                    degree[leaf] -= 1
-                    degree[v] -= 1
-                    break
-        last = [v for v in range(n) if degree[v] == 1]
-        edges.append((last[0], last[1]))
-        return Graph(n, tuple(edges))
-
-    seq = [0] * (n - 2)
-    while True:
-        yield decode(tuple(seq))
-        pos = n - 3
-        while pos >= 0 and seq[pos] == n - 1:
-            seq[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        seq[pos] += 1
+        level = _grow(level, add_leaf)
+    return [parse_graph6(key) for key in sorted(canonical_key(t) for t in level)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 
 from forestbuilder.canon import (
     CANONICAL_VERTEX_CAP,
+    _certificate,
     automorphisms,
     canonical_form,
     canonical_key,
@@ -55,6 +56,48 @@ def test_random_relabelings_fixed_key(connected_classes):
             for _ in range(50):
                 rng.shuffle(perm)
                 assert canonical_key(g.relabel(perm)) == base
+
+
+def test_twin_classes_canonicalize_at_sixteen_vertices():
+    # all vertices twins (K_16, its complement), all leaves twins (K_{1,15}),
+    # both parts twin classes (K_{8,8}): factorial without twin pruning
+    for g in (complete_graph(16), Graph(16, ()), star_graph(15)):
+        assert canonical_key(g) == serialize_graph6(g)
+    # lexmax K_{8,8} takes vertex 0 from one part, then the whole other part
+    part = (0, *range(9, 16))
+    k88 = Graph(16, tuple((a, b) if a < b else (b, a) for a in part for b in range(1, 9)))
+    assert canonical_key(complete_bipartite(8, 8)) == serialize_graph6(k88)
+
+
+def _graph_where(n: int, adjacent) -> Graph:
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)))
+
+
+def test_certificate_on_vertex_transitive_graphs():
+    # pairs that colour refinement alone cannot split: regular graphs of
+    # equal degree, and the 4x4 rook graph against Shrikhande's graph, which
+    # share the strongly regular parameters (16, 6, 2, 2)
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    outer = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    shrikhande_steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    graphs = [
+        cycle_graph(16),
+        from_edge_list(16, ring + [(u + 8, v + 8) for u, v in ring]),  # 2 C_8
+        from_edge_list(10, outer + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),  # Petersen
+        from_edge_list(10, outer + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]),  # prism
+        complete_bipartite(8, 8),
+        _graph_where(16, lambda u, v: u // 4 == v // 4 or u % 4 == v % 4),
+        _graph_where(16, lambda u, v: ((v // 4 - u // 4) % 4, (v - u) % 4) in shrikhande_steps),
+    ]
+    assert [set(g.degrees()) for g in graphs] == [{2}, {2}, {3}, {3}, {8}, {6}, {6}]
+    certificates = [_certificate(g) for g in graphs]
+    assert len(set(certificates)) == len(graphs)
+    rng = SplitMix64(5)
+    for g, cert in zip(graphs, certificates):
+        perm = list(range(g.n))
+        for _ in range(5):
+            rng.shuffle(perm)
+            assert _certificate(g.relabel(perm)) == cert
 
 
 def test_canonical_form_properties():

@@ -15,7 +15,6 @@ from forestbuilder.closedforms import (
     complete_distribution,
     complete_expected_components,
     cycle_single_component,
-    expected_components_closed,
     gnm_expectation_lower_bound,
     gnm_expected_components,
     matching_identity_lhs,
@@ -100,10 +99,6 @@ def test_expectation_formulas():
             expect = bipartite_distribution(s, t).expected_components()
             assert expect == Fraction(s * t, s + t - 1)
             assert bipartite_expected_components(s, t) == expect
-    assert expected_components_closed("complete", 4) == Fraction(6, 5)
-    assert expected_components_closed("complete_bipartite", 2, 3) == Fraction(3, 2)
-    with pytest.raises(InvalidSize):
-        expected_components_closed("petersen", 10)
 
 
 def test_gnm_expectation_values():

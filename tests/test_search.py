@@ -1,14 +1,17 @@
 """Exhaustive small-graph searches and their replayable reports."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from forestbuilder.canon import canonical_key, is_edge_transitive
+import forestbuilder.search as search
+from forestbuilder.canon import _certificate, canonical_key, is_edge_transitive
 from forestbuilder.engine import expected_components, forest_polynomial
 from forestbuilder.errors import SizeCapExceeded
 from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph, is_connected
+from forestbuilder.rng import SplitMix64
 from forestbuilder.search import (
     check_conjecture,
     check_log_concavity,
@@ -18,12 +21,55 @@ from forestbuilder.search import (
     find_edge_degree_twins,
     find_equal_polynomial_pairs,
     find_tree_pairs,
-    labeled_trees_prufer,
     sweep_log_concavity,
 )
 
 CONNECTED_CLASS_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}  # OEIS A000088
 TREE_CLASS_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+
+
+def labeled_trees_prufer(n: int):
+    """Yield every labeled tree on n vertices by decoding Prufer sequences.
+
+    Used as a completeness oracle for enumerate_trees at small n; the
+    sequence space is n^(n-2) so this is only for testing scale.
+    """
+    if n < 1:
+        raise SizeCapExceeded("needs n >= 1")
+    if n == 1:
+        yield Graph(1, ())
+        return
+    if n == 2:
+        yield Graph(2, ((0, 1),))
+        return
+
+    def decode(seq: tuple[int, ...]) -> Graph:
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            for leaf in range(n):
+                if degree[leaf] == 1:
+                    edges.append((min(leaf, v), max(leaf, v)))
+                    degree[leaf] -= 1
+                    degree[v] -= 1
+                    break
+        last = [v for v in range(n) if degree[v] == 1]
+        edges.append((last[0], last[1]))
+        return Graph(n, tuple(edges))
+
+    seq = [0] * (n - 2)
+    while True:
+        yield decode(tuple(seq))
+        pos = n - 3
+        while pos >= 0 and seq[pos] == n - 1:
+            seq[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return
+        seq[pos] += 1
 
 
 def test_connected_class_counts(connected_classes):
@@ -42,6 +88,47 @@ def test_connected_enumeration_matches_exhaustive_oracle():
         assert grown == filtered
     with pytest.raises(SizeCapExceeded):
         enumerate_connected_graphs_exhaustive(7)
+
+
+def test_certificate_splits_enumeration_children_like_canonical_key(monkeypatch):
+    # every child _grow meets while enumerating connected graphs on n <= 7
+    # and trees on n <= 10: certificate and lexmax key must induce the same
+    # classes, and each class must keep its certificate under relabeling
+    levels: list[list[Graph]] = []
+    real_grow = search._grow
+
+    def recording(level, children):
+        level = list(level)
+        levels.append([h for g in level for h in children(g)])
+        return real_grow(level, children)
+
+    monkeypatch.setattr(search, "_grow", recording)
+    for n in range(2, 8):
+        enumerate_connected_graphs(n)
+    graph_levels = len(levels)
+    for n in range(2, 11):
+        enumerate_trees(n)
+
+    rng = SplitMix64(11)
+    counts = []
+    for grown in (levels[:graph_levels], levels[graph_levels:]):
+        classes: dict[str, Graph] = {}
+        cert_of: dict[str, tuple[int, ...]] = {}
+        for children in grown:
+            for h in children:
+                key, cert = canonical_key(h), _certificate(h)
+                assert cert_of.setdefault(key, cert) == cert
+                classes.setdefault(key, h)
+        assert len(set(cert_of.values())) == len(cert_of)
+        for key, g in classes.items():
+            perm = list(range(g.n))
+            for _ in range(5):
+                rng.shuffle(perm)
+                assert _certificate(g.relabel(perm)) == cert_of[key]
+        counts.append(Counter(g.n for g in classes.values()))
+    # the levels hold every graph but the edgeless one, and every tree
+    assert counts[0] == {n: c - 1 for n, c in ALL_CLASS_COUNTS.items()}
+    assert counts[1] == dict(enumerate(TREE_CLASS_COUNTS[1:], start=2))
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
