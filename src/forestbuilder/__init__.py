@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .canon import (
     CANONICAL_VERTEX_CAP,
-    automorphisms,
     canonical_form,
     canonical_key,
     is_edge_transitive,
@@ -65,7 +64,6 @@ __all__ = [
     "PolynomialEngine",
     "ProcessResult",
     "SplitMix64",
-    "automorphisms",
     "balanced_bipartite_plus_edge",
     "brute_force_distribution",
     "canonical_form",

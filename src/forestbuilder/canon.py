@@ -1,11 +1,11 @@
-"""Canonical labeling of small graphs by ordered backtracking.
+"""Canonical labeling and edge orbits of small graphs, by two searches.
 
 The canonical form is the vertex ordering whose upper-triangle adjacency
 bits (in graph6 column-major order) are lexicographically largest; two
 graphs get the same canonical form exactly when they are isomorphic.  The
-search places one vertex at a time, comparing the growing bit string against
-the best complete ordering found so far.  Three prunings keep symmetric
-inputs from exploding factorially:
+lexmax search places one vertex at a time, comparing the growing bit string
+against the best complete ordering found so far.  Three prunings keep
+symmetric inputs from exploding factorially:
 
 * prefix pruning: a partial ordering whose bits fall below the incumbent's
   at the current depth cannot lead to a maximum, and siblings are scanned in
@@ -24,11 +24,12 @@ the graph6 string of that form: the one identity of an isomorphism class,
 which `parse_graph6` turns back into the canonical form itself.  This
 exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP vertices.
 
-Enumeration dedups by a cheaper complete invariant, `_certificate`: colour
-refinement to an equitable partition plus individualization (McKay and
-Piperno, Practical graph isomorphism II, 2014).  It is not a graph6 string
-and never leaves the search layer, which puts each kept class in lexmax
-form once.
+The refinement search (colour refinement to an equitable partition plus
+individualization: McKay and Piperno, Practical graph isomorphism II, 2014)
+starts from an ordered vertex partition.  From the unit partition it gives
+`_certificate`, the cheaper invariant enumeration dedups by before putting
+each kept class in lexmax form once.  With an edge's endpoints as the first
+cell it gives an invariant of the edge's orbit, for `is_edge_transitive`.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def _refine(masks: list[int], cells: list[list[int]], splitters: list[int]) -> l
     Each splitter (a vertex bitmask) splits every cell by its vertices'
     neighbour counts in the splitter, pieces ordered by count, and every new
     piece is queued as a splitter.  `splitters` must cover what `cells` is
-    not yet equitable against: the whole vertex set for the unit partition,
-    the new singleton after individualizing in an equitable partition.
+    not yet equitable against: every cell of an initial partition, the new
+    singleton after individualizing in an equitable partition.
     Splits and order depend on the graph and the input, never on labels.
     """
     n = len(masks)
@@ -184,18 +185,17 @@ def _refine(masks: list[int], cells: list[list[int]], splitters: list[int]) -> l
     return cells
 
 
-def _certificate(g: Graph) -> tuple[int, ...]:
-    """Complete isomorphism invariant, cheaper than `canonical_key`.
+def _best_leaf(masks: list[int], cells: list[list[int]]) -> tuple[int, ...]:
+    """Complete invariant of the graph coloured by the ordered partition `cells`.
 
     Refines to an equitable partition, then individualizes each vertex of
-    the first smallest non-singleton cell in turn (one per twin class) and
-    refines again, down to discrete partitions.  Each discrete partition
-    orders the vertices; the certificate is the largest adjacency tuple
-    (row i: the adjacency bits of the i-th vertex to the earlier ones) over
-    those orderings.  It is not the lexmax ordering of `canonical_form`.
+    the first smallest non-singleton cell in turn (one per twin class: twins
+    in one cell are swapped by an automorphism that keeps the colouring) and
+    refines again, down to discrete partitions.  Cells split in place, so
+    each leaf orders the vertices cell by cell; the result is the largest
+    adjacency tuple (row i: the bits of the i-th vertex to the earlier ones).
     """
-    n = g.n
-    masks = g.adjacency_masks()
+    n = len(masks)
     best: tuple[int, ...] = ()
 
     def visit(cells: list[list[int]], splitters: list[int]) -> None:
@@ -222,75 +222,30 @@ def _certificate(g: Graph) -> tuple[int, ...]:
             tried.append(v)
             visit(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :], [1 << v])
 
-    visit([list(range(n))], [(1 << n) - 1])
+    cells = [cell for cell in cells if cell]  # an edge of K_2 leaves no rest
+    visit(cells, [sum(1 << v for v in cell) for cell in cells])
     return best
 
 
-def _vertex_maps(g: Graph):
-    """Yield every adjacency-preserving vertex bijection (identity first)."""
-    n = g.n
-    masks = g.adjacency_masks()
-    degs = g.degrees()
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int):
-        if v == n:
-            yield tuple(image)
-            return
-        for w in range(n):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            ok = True
-            for prev in range(v):
-                if ((masks[v] >> prev) & 1) != ((masks[w] >> image[prev]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                yield from extend(v + 1)
-                used[w] = False
-        image[v] = -1
-
-    yield from extend(0)
-
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """The full automorphism group as vertex maps (identity included)."""
-    if g.n > CANONICAL_VERTEX_CAP:
-        raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
-    return list(_vertex_maps(g))
+def _certificate(g: Graph) -> tuple[int, ...]:
+    """Complete isomorphism invariant, cheaper than `canonical_key`: the best leaf."""
+    return _best_leaf(g.adjacency_masks(), [list(range(g.n))])
 
 
 def is_edge_transitive(g: Graph) -> bool:
     """Whether the automorphism group acts transitively on the edges.
 
-    Stops enumerating automorphisms as soon as the discovered ones already
-    merge all edges into one orbit.
+    An automorphism maps edge uv onto edge xy exactly when G coloured
+    [[u, v], rest] and G coloured [[x, y], rest] have the same best leaf,
+    since both endpoints fill the first two places of every leaf ordering.
+    Stops at the first edge whose best leaf differs from the first edge's.
     """
     if g.n > CANONICAL_VERTEX_CAP:
         raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
-    if g.m <= 1:
-        return True
-    index = {e: i for i, e in enumerate(g.edges)}
-    parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    classes = g.m
-    for sigma in _vertex_maps(g):
-        for i, (u, v) in enumerate(g.edges):
-            a, b = sigma[u], sigma[v]
-            j = index[(a, b) if a < b else (b, a)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                classes -= 1
-        if classes == 1:
-            return True
-    return False
+    masks = g.adjacency_masks()
+    leaves = (
+        _best_leaf(masks, [[u, v], [w for w in range(g.n) if w != u and w != v]])
+        for u, v in g.edges
+    )
+    first = next(leaves, None)
+    return all(leaf == first for leaf in leaves)

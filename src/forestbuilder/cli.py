@@ -245,12 +245,12 @@ def _cmd_conjecture(ns: argparse.Namespace) -> str:
 def _cmd_table(ns: argparse.Namespace) -> str:
     if ns.which == "small-graphs":
         enumerate_graphs, label = enumerate_connected_graphs, "connected classes"
-        cap, past_cap = SEARCH_VERTEX_CAP, f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}"
+        kind, low, cap = "connected", 2, SEARCH_VERTEX_CAP
     else:
         enumerate_graphs, label = enumerate_trees, "trees"
-        cap, past_cap = TREE_VERTEX_CAP, f"tree enumeration cap is 1..{TREE_VERTEX_CAP}"
-    if ns.max_n > cap:
-        raise SizeCapExceeded(past_cap)
+        kind, low, cap = "tree", 1, TREE_VERTEX_CAP
+    if not low <= ns.max_n <= cap:
+        raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
     lines = []
     for n in range(2, ns.max_n + 1):
         graphs = enumerate_graphs(n)

@@ -183,6 +183,8 @@ def components(g: Graph) -> list[Graph]:
 
 def edge_codegree(g: Graph, edge_id: int) -> int:
     """d(u) + d(v) - 2 for the edge's endpoints: neighbors besides the edge."""
+    if not 0 <= edge_id < g.m:
+        raise IndexError(f"edge id {edge_id} out of range")
     u, v = g.edges[edge_id]
     degs = g.degrees()
     return degs[u] + degs[v] - 2

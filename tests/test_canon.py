@@ -1,4 +1,4 @@
-"""Canonical labeling, automorphism groups, and edge transitivity."""
+"""Canonical labeling, certificates, and edge transitivity."""
 
 from itertools import combinations, permutations
 
@@ -7,7 +7,6 @@ import pytest
 from forestbuilder.canon import (
     CANONICAL_VERTEX_CAP,
     _certificate,
-    automorphisms,
     canonical_form,
     canonical_key,
     is_edge_transitive,
@@ -109,22 +108,57 @@ def test_canonical_form_properties():
     assert serialize_graph6(cf) == canonical_key(g)
 
 
-def test_automorphism_group_sizes():
-    assert len(automorphisms(complete_graph(3))) == 6
-    assert len(automorphisms(complete_graph(4))) == 24
-    assert len(automorphisms(path_graph(4))) == 2
-    assert len(automorphisms(cycle_graph(4))) == 8
-    assert len(automorphisms(complete_bipartite(2, 3))) == 12
-    assert len(automorphisms(star_graph(3))) == 6
+def _automorphisms_oracle(g: Graph) -> list[tuple[int, ...]]:
+    """Oracle: every vertex permutation that maps the edge set onto itself."""
+    edges = set(g.edges)
+    return [
+        sigma
+        for sigma in permutations(range(g.n))
+        if {(min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in g.edges} == edges
+    ]
 
 
-def test_automorphisms_preserve_edges():
-    g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-    maps = automorphisms(g)
-    assert maps
-    for sigma in maps:
-        mapped = {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges}
-        assert mapped == set(g.edges)
+def _edge_transitive_oracle(g: Graph) -> bool:
+    """Oracle: the first edge's orbit under the brute-force group is every edge."""
+    if not g.edges:
+        return True
+    u, v = g.edges[0]
+    orbit = {(min(s[u], s[v]), max(s[u], s[v])) for s in _automorphisms_oracle(g)}
+    return orbit == set(g.edges)
+
+
+def test_edge_transitivity_matches_brute_force_oracle(connected_classes):
+    assert [
+        len(_automorphisms_oracle(g))
+        for g in (complete_graph(3), complete_graph(4), path_graph(4), cycle_graph(4),
+                  complete_bipartite(2, 3), star_graph(3))
+    ] == [6, 24, 2, 8, 12, 6]
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for subset in range(1 << len(pairs)):
+            g = Graph(n, tuple(p for i, p in enumerate(pairs) if (subset >> i) & 1))
+            assert is_edge_transitive(g) == _edge_transitive_oracle(g), g
+    classes = [g for n in range(2, 7) for g in connected_classes[n]]
+    verdicts = [is_edge_transitive(g) for g in classes]
+    assert verdicts == [_edge_transitive_oracle(g) for g in classes]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_edge_transitivity_at_the_vertex_cap():
+    # 16 vertices (the prism has 10), where listing automorphisms one by one
+    # takes minutes: K_16 alone has 16! of them
+    n = CANONICAL_VERTEX_CAP
+    cube = _graph_where(n, lambda u, v: (u ^ v).bit_count() == 1)  # Q_4
+    rook = _graph_where(n, lambda u, v: u // 4 == v // 4 or u % 4 == v % 4)
+    outer = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    prism = from_edge_list(10, outer + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    # 4 (K_4 - e)
+    diamonds = _graph_where(n, lambda u, v: u // 4 == v // 4 and (u % 4, v % 4) != (2, 3))
+    for g in (complete_graph(n), complete_bipartite(8, 8), star_graph(n - 1),
+              cycle_graph(n), cube, rook):
+        assert is_edge_transitive(g), g
+    for g in (path_graph(n), prism, diamonds):
+        assert not is_edge_transitive(g), g
 
 
 def test_edge_transitive_families():
@@ -145,7 +179,5 @@ def test_vertex_cap():
     big = Graph(CANONICAL_VERTEX_CAP + 1, ((0, 1),))
     with pytest.raises(SizeCapExceeded):
         canonical_key(big)
-    with pytest.raises(SizeCapExceeded):
-        automorphisms(big)
     with pytest.raises(SizeCapExceeded):
         is_edge_transitive(Graph(CANONICAL_VERTEX_CAP + 1, ((0, 1), (1, 2))))

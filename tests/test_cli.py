@@ -308,3 +308,17 @@ def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
     assert run(["table", "trees", "--max-n", "11"]) == 1
     assert capsys.readouterr().err == "error: tree enumeration cap is 1..10\n"
     assert calls == []
+
+
+def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("forestbuilder.cli.enumerate_connected_graphs", calls.append)
+    monkeypatch.setattr("forestbuilder.cli.enumerate_trees", calls.append)
+    for max_n in ("1", "-3"):
+        assert run(["table", "small-graphs", "--max-n", max_n]) == 1
+        assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
+    assert run(["table", "trees", "--max-n", "0"]) == 1
+    assert capsys.readouterr().err == "error: tree enumeration cap is 1..10\n"
+    assert calls == []
+    # one vertex is a valid tree size; its table is empty
+    assert _ok(capsys, ["table", "trees", "--max-n", "1"]) == ""

@@ -154,6 +154,13 @@ def test_edge_codegree():
     assert all(edge_codegree(k23, e) == 3 for e in range(k23.m))
 
 
+def test_edge_codegree_rejects_out_of_range_ids():
+    p4 = path_graph(4)
+    for edge_id in (-1, p4.m):
+        with pytest.raises(IndexError, match=f"edge id {edge_id} out of range"):
+            edge_codegree(p4, edge_id)
+
+
 def test_cheeger_known_values():
     assert cheeger_constant(complete_graph(4)) == Fraction(2, 3)
     assert cheeger_constant(cycle_graph(4)) == Fraction(1, 2)
