@@ -226,6 +226,9 @@ _PAIR_SEARCHES = {
 
 def _cmd_search(ns: argparse.Namespace) -> str:
     context = f"search {ns.what}"
+    unused = "n" if ns.what == "logconcave" else "max-n"
+    if getattr(ns, unused.replace("-", "_")) is not None:
+        raise _UsageError(f"{context} does not take --{unused}")
     if ns.what == "logconcave":
         violations = search.sweep_log_concavity(*_required(ns, context, "max-n"))
         return "\n".join(

@@ -118,6 +118,8 @@ def single_component_decay(
     Reports -log(p1_hat)/n per row (the exponential decay rate scale) and
     the exact Cheeger constant whenever n is within the exhaustive cap.
     """
+    if d < 1:
+        raise ParameterOutOfRange(f"needs degree d >= 1, got d = {d}")
     if trials < 1:
         raise ParameterOutOfRange("needs trials >= 1")
     for n in n_values:

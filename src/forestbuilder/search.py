@@ -4,10 +4,14 @@ Each isomorphism class is reported as one canonical graph6 string, its
 canonical key.  Enumeration dedups each level of edge or leaf augmentations
 by the refinement certificate `canon._certificate`, which is much cheaper
 than the lexmax search behind the key, and computes `canonical_key` once
-per class it returns.  The representatives are parsed from those keys, so
-a representative is a canonical form whose own graph6 is its key: it is
-never keyed twice.  Every search reports replayable records: graphs as
-graph6 strings plus the exact polynomials involved.
+per class it returns.  Edge augmentation certifies only the children whose
+new edge has the largest degree sum d(a)+d(b) (McKay's canonical deletion,
+J. Algorithms 1998); that is complete because deleting such an edge from
+any class lands in the previous level, and isomorphisms preserve degrees.
+The representatives are parsed from those keys, so a representative is a
+canonical form whose own graph6 is its key: it is never keyed twice.
+Every search reports replayable records: graphs as graph6 strings plus the
+exact polynomials involved.
 """
 
 from __future__ import annotations
@@ -51,17 +55,33 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
     Grown by edge augmentation: every class with m edges arises from some
-    class with m-1 edges (drop any edge), so augmenting all classes level by
-    level and deduplicating by certificate is complete.  Representatives
-    are canonical forms, ordered by (edge count, canonical key).
+    class with m-1 edges by adding back an edge of largest degree sum (drop
+    that edge; an isomorphism carries it to an edge of largest degree sum),
+    so only such children are deduplicated by certificate, level by level.
+    Representatives are canonical forms, ordered by (edge count, canonical
+    key).
     """
     if not 2 <= n <= SEARCH_VERTEX_CAP:
         raise SizeCapExceeded(f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}")
     pairs = list(combinations(range(n), 2))
 
     def add_edge(g: Graph) -> Iterator[Graph]:
+        # canonical deletion: g + uv only when uv has the largest degree sum
+        # in the child, s = d(u)+d(v)+2.  Adding uv lifts an old edge's sum
+        # by at most 1, so an old edge beats s only when s == top and it is
+        # a top edge of g with u or v as an endpoint.
         present = g.edge_set()
-        return (Graph(n, g.edges + (e,)) for e in pairs if e not in present)
+        deg = g.degrees()
+        sums = [deg[a] + deg[b] for a, b in g.edges]
+        top = max(sums, default=0)
+        hot = {w for e, s in zip(g.edges, sums) if s == top for w in e}
+        for e in pairs:
+            if e in present:
+                continue
+            u, v = e
+            s = deg[u] + deg[v] + 2
+            if s > top or (s == top and u not in hot and v not in hot):
+                yield Graph(n, g.edges + (e,))
 
     level = [Graph(n, ())]
     found: list[tuple[int, str]] = []

@@ -322,3 +322,24 @@ def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
     assert calls == []
     # one vertex is a valid tree size; its table is empty
     assert _ok(capsys, ["table", "trees", "--max-n", "1"]) == ""
+
+
+def test_decay_rejects_degree_below_one_before_building_a_graph(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("forestbuilder.montecarlo.random_regular_graph",
+                        lambda *args: built.append(args))
+    for d in ("0", "-2"):
+        argv = ["decay", "--d", d, "--n-values", "4", "--trials", "5", "--seed", "1"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: needs degree d >= 1, got d = {d}\n"
+    assert built == []
+
+
+def test_search_rejects_the_size_flag_it_does_not_read(capsys):
+    for what in ("pairs", "twins", "trees"):
+        assert run(["search", what, "--n", "5", "--max-n", "99"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: search {what} does not take --max-n\n"
+        )
+    assert run(["search", "logconcave", "--max-n", "5", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "usage error: search logconcave does not take --n\n"

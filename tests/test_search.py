@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -90,17 +91,33 @@ def test_connected_enumeration_matches_exhaustive_oracle():
         enumerate_connected_graphs_exhaustive(7)
 
 
+def every_edge_added(g: Graph) -> list[Graph]:
+    present = g.edge_set()
+    return [
+        Graph(g.n, g.edges + (e,))
+        for e in combinations(range(g.n), 2)
+        if e not in present
+    ]
+
+
+def every_leaf_added(t: Graph) -> list[Graph]:
+    return [Graph(t.n + 1, t.edges + ((host, t.n),)) for host in range(t.n)]
+
+
 def test_certificate_splits_enumeration_children_like_canonical_key(monkeypatch):
-    # every child _grow meets while enumerating connected graphs on n <= 7
-    # and trees on n <= 10: certificate and lexmax key must induce the same
-    # classes, and each class must keep its certificate under relabeling
-    levels: list[list[Graph]] = []
+    # every augmentation of every graph _grow is handed while enumerating
+    # connected graphs on n <= 7 and trees on n <= 10, whether or not the
+    # canonical-deletion filter lets it through: certificate and lexmax key
+    # must induce the same classes, each class must keep its certificate
+    # under relabeling, and _grow must keep every class met
+    levels: list[tuple[list[Graph], list[Graph]]] = []  # (parents, kept)
     real_grow = search._grow
 
     def recording(level, children):
         level = list(level)
-        levels.append([h for g in level for h in children(g)])
-        return real_grow(level, children)
+        kept = real_grow(level, children)
+        levels.append((level, kept))
+        return kept
 
     monkeypatch.setattr(search, "_grow", recording)
     for n in range(2, 8):
@@ -111,14 +128,20 @@ def test_certificate_splits_enumeration_children_like_canonical_key(monkeypatch)
 
     rng = SplitMix64(11)
     counts = []
-    for grown in (levels[:graph_levels], levels[graph_levels:]):
+    for grown, augment in (
+        (levels[:graph_levels], every_edge_added),
+        (levels[graph_levels:], every_leaf_added),
+    ):
         classes: dict[str, Graph] = {}
         cert_of: dict[str, tuple[int, ...]] = {}
-        for children in grown:
-            for h in children:
+        kept_keys: set[str] = set()
+        for parents, kept in grown:
+            for h in (h for g in parents for h in augment(g)):
                 key, cert = canonical_key(h), _certificate(h)
                 assert cert_of.setdefault(key, cert) == cert
                 classes.setdefault(key, h)
+            kept_keys.update(canonical_key(h) for h in kept)
+        assert kept_keys == set(classes)
         assert len(set(cert_of.values())) == len(cert_of)
         for key, g in classes.items():
             perm = list(range(g.n))
@@ -129,6 +152,21 @@ def test_certificate_splits_enumeration_children_like_canonical_key(monkeypatch)
     # the levels hold every graph but the edgeless one, and every tree
     assert counts[0] == {n: c - 1 for n, c in ALL_CLASS_COUNTS.items()}
     assert counts[1] == dict(enumerate(TREE_CLASS_COUNTS[1:], start=2))
+
+
+def test_canonical_deletion_certifies_few_children(monkeypatch, connected_classes):
+    # only children whose new edge has the largest degree sum are certified:
+    # 2,520 of the 10,962 edge augmentations at n = 7
+    calls = []
+    real_certificate = search._certificate
+
+    def counting(h):
+        calls.append(h)
+        return real_certificate(h)
+
+    monkeypatch.setattr(search, "_certificate", counting)
+    assert tuple(enumerate_connected_graphs(7)) == connected_classes[7]
+    assert len(calls) <= 3000
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
@@ -207,7 +245,8 @@ def test_smallest_pairs_are_the_known_ones(engine):
 
 
 def test_pair_census_pinned(engine):
-    # pinned from the output of the search while its keys were bytes
+    # n = 5, 6 pinned from the output of the search while its keys were bytes,
+    # n = 7 from its output before canonical deletion filtered the children
     pinned = {
         5: [
             ("DqG", "DqK", True),
@@ -226,6 +265,18 @@ def test_pair_census_pinned(engine):
             ("Es`o", "Es`w", True),
             ("EsP?", "E}G_", False),
             ("Es`?", "E{`?", False),
+        ],
+        7: [
+            ("FqGOO", "FqGOW", True),
+            ("Fs`_w", "F}Gg_", False),
+            ("Fs`rO", "F}KoW", False),
+            ("Fs`z_", "Fs`zo", True),
+            ("Fs`z_", "F}oxo", False),
+            ("Fs`zo", "F}oxo", False),
+            ("Fs`a_", "F}G_O", False),
+            ("F~~~o", "F~~~w", True),
+            ("F}G__", "F}K__", False),
+            ("FsaBo", "FsaBw", True),
         ],
     }
     for n, expected in pinned.items():
