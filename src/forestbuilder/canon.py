@@ -23,13 +23,29 @@ The automorphisms the search finds serve only this pruning.
 the graph6 string of that form: the one identity of an isomorphism class,
 which `parse_graph6` turns back into the canonical form itself.  This
 exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP vertices.
+`_is_lexmax` runs the same search with the identity ordering as incumbent:
+it walks only the branches tied with it and stops at the first that beats
+it.  Two facts let enumeration build lexmax forms from smaller ones:
+
+* Last-1 deletion: clearing the last 1-bit of a lexmax string S (edge e of
+  G) leaves the lexmax string of G - e.  Suppose a relabeling of G - e gave
+  T > S - e, first differing at a bit r that is 1 in T.  All m - 1 ones of
+  S - e lie before the cleared bit, so r lies before it too (else T would
+  hold m ones), where S agrees with S - e: T > S.  The same relabeling of G
+  sets one more bit of T, which cannot make it smaller, so it beats S.
+* Connected prefix: in the lexmax labelling of a connected graph every
+  vertex k >= 1 has an earlier neighbour.  Otherwise column k is 0, and
+  some later vertex w has an earlier neighbour, as the prefix is joined to
+  the rest; moving w to place k keeps columns 1..k-1 and raises column k.
+  A lexmax prefix is lexmax too, as a better labelling of the first k
+  vertices would beat the whole string.  So the last vertex of a lexmax
+  tree is a leaf, and deleting it leaves the lexmax tree one vertex smaller.
 
 The refinement search (colour refinement to an equitable partition plus
 individualization: McKay and Piperno, Practical graph isomorphism II, 2014)
-starts from an ordered vertex partition.  From the unit partition it gives
-`_certificate`, the cheaper invariant enumeration dedups by before putting
-each kept class in lexmax form once.  With an edge's endpoints as the first
-cell it gives an invariant of the edge's orbit, for `is_edge_transitive`.
+starts from an ordered vertex partition.  With an edge's endpoints as the
+first cell it gives an invariant of the edge's orbit, for
+`is_edge_transitive`.
 """
 
 from __future__ import annotations
@@ -45,92 +61,120 @@ CANONICAL_VERTEX_CAP = 16
 _MAX_STORED_AUTOMORPHISMS = 64
 
 
-def _twins(masks: list[int], u: int, v: int) -> bool:
-    """Whether N(u) minus v equals N(v) minus u: swapping u and v is an automorphism."""
-    return not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v))
+def _twin_masks(masks: list[int]) -> list[int]:
+    """Bit u of twins[v] is set when swapping u and v is an automorphism.
+
+    That is, when N(u) minus v equals N(v) minus u.
+    """
+    twins = [0] * len(masks)
+    for v, mv in enumerate(masks):
+        for u in range(v):
+            if not (masks[u] ^ mv) & ~((1 << u) | (1 << v)):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    return twins
 
 
-def _search(n: int, masks: list[int]) -> list[int]:
+def _cums(masks: list[int], ordering: list[int]) -> list[int]:
+    """The graph6 bit strings of the ordering's prefixes, as integers."""
+    cums, cum = [], 0
+    for depth, v in enumerate(ordering):
+        for u in ordering[:depth]:
+            cum = (cum << 1) | ((masks[v] >> u) & 1)
+        cums.append(cum)
+    return cums
+
+
+class _Beaten(Exception):
+    """A partial ordering's bits exceed those of the target ordering."""
+
+
+def _search(n: int, masks: list[int], target: list[int] | None = None) -> list[int]:
     """Return the canonical ordering: ordering[pos] is the vertex at pos.
 
+    Given a `target` ordering, the search starts with it as the incumbent,
+    so it walks only the branches tied with it, and raises `_Beaten` as
+    soon as one beats it: `target` is canonical exactly when it returns.
     The automorphisms it prunes with are twin swaps and vertex maps
-    discovered at tie leaves.  Inner loops are written for speed:
-    candidates sort as plain (-bits, v) tuples, and the one-bit-per-vertex
+    discovered at tie leaves.  Inner loops are written for speed: vertex
+    sets are bitmasks where they are tested, and the one-bit-per-vertex
     update is undone by shifting back rather than saving.
     """
-    best_perm: list[int] | None = None
-    best_cums: list[int] = [0] * n
-    path_cums: list[int] = []
-    autos: list[tuple[int, ...]] = []
+    best_perm = target
+    best_cums = [] if target is None else _cums(masks, target)
+    # (sigma, bitmask of the vertices sigma fixes)
+    autos: list[tuple[tuple[int, ...], int]] = []
     placed: list[int] = []
     unplaced = set(range(n))
     # vbits[v]: adjacency bits of v against the placed prefix, oldest first
     vbits = [0] * n
+    twins = _twin_masks(masks)
 
-    def descend(depth: int, cum: int, tied: bool) -> None:
-        nonlocal best_perm
+    def descend(depth: int, cum: int, tied: bool, placed_mask: int) -> None:
+        nonlocal best_perm, best_cums
         if depth == n:
             if best_perm is not None and tied:
-                # equal bit strings at every depth: an automorphism
-                if len(autos) < _MAX_STORED_AUTOMORPHISMS:
+                # equal bit strings at every depth: an automorphism (the
+                # identity when this is the target's own path)
+                if len(autos) < _MAX_STORED_AUTOMORPHISMS and placed != best_perm:
                     sigma = [0] * n
                     for pos in range(n):
                         sigma[best_perm[pos]] = placed[pos]
-                    autos.append(tuple(sigma))
+                    fixed = sum(1 << u for u in range(n) if sigma[u] == u)
+                    autos.append((tuple(sigma), fixed))
             else:
                 best_perm = placed.copy()
-                best_cums[:] = path_cums
+                best_cums = _cums(masks, best_perm)
             return
         vb = vbits
-        candidates = sorted((-vb[v], v) for v in unplaced)
         on_best = tied and best_perm is not None
-        tried: set[int] = set()
+        tried = 0  # bitmask of the candidates explored at this node
         shifted = cum << depth
-        for negbits, v in candidates:
-            ncum = shifted - negbits  # negbits = -vbits[v]; bits fit below shift
+        for v in sorted(unplaced, key=vb.__getitem__, reverse=True):
+            ncum = shifted | vb[v]  # vbits fit below the shift
             if on_best:
                 incumbent = best_cums[depth]
                 if ncum < incumbent:
                     break  # later candidates have smaller bits still
+                if ncum > incumbent and target is not None:
+                    raise _Beaten
                 child_tied = ncum == incumbent
             else:
                 child_tied = False
-            if tried and any(_twins(masks, u, v) for u in tried):
+            if twins[v] & tried:
                 continue
-            if tried and autos:
-                pruned = False
-                for sigma in autos:
-                    if sigma[v] in tried:
-                        fixes = True
-                        for u in placed:
-                            if sigma[u] != u:
-                                fixes = False
-                                break
-                        if fixes:
-                            pruned = True
-                            break
-                if pruned:
-                    continue
+            # an automorphism fixing the prefix maps v into a tried subtree
+            if tried and autos and any(
+                tried >> sigma[v] & 1 and not placed_mask & ~fixed for sigma, fixed in autos
+            ):
+                continue
             placed.append(v)
             unplaced.remove(v)
-            path_cums.append(ncum)
             mv = masks[v]
             for u in unplaced:
                 vb[u] = (vb[u] << 1) | ((mv >> u) & 1)
-            descend(depth + 1, ncum, child_tied)
+            descend(depth + 1, ncum, child_tied, placed_mask | 1 << v)
             for u in unplaced:
                 vb[u] >>= 1
-            path_cums.pop()
             unplaced.add(v)
             placed.pop()
-            tried.add(v)
+            tried |= 1 << v
             on_best = True  # incumbent now passes through this node
 
     if n == 0:
         return []
-    descend(0, 0, False)
+    descend(0, 0, target is not None, 0)
     assert best_perm is not None
     return best_perm
+
+
+def _is_lexmax(g: Graph) -> bool:
+    """Whether g is its own canonical form: no relabeling beats its graph6 bits."""
+    try:
+        _search(g.n, g.adjacency_masks(), list(range(g.n)))
+    except _Beaten:
+        return False
+    return True
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -196,6 +240,7 @@ def _best_leaf(masks: list[int], cells: list[list[int]]) -> tuple[int, ...]:
     adjacency tuple (row i: the bits of the i-th vertex to the earlier ones).
     """
     n = len(masks)
+    twins = _twin_masks(masks)
     best: tuple[int, ...] = ()
 
     def visit(cells: list[list[int]], splitters: list[int]) -> None:
@@ -215,21 +260,16 @@ def _best_leaf(masks: list[int], cells: list[list[int]]) -> tuple[int, ...]:
             return
         _, i = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
         cell = cells[i]
-        tried: list[int] = []
+        tried = 0
         for v in cell:
-            if any(_twins(masks, u, v) for u in tried):
+            if twins[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             visit(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :], [1 << v])
 
     cells = [cell for cell in cells if cell]  # an edge of K_2 leaves no rest
     visit(cells, [sum(1 << v for v in cell) for cell in cells])
     return best
-
-
-def _certificate(g: Graph) -> tuple[int, ...]:
-    """Complete isomorphism invariant, cheaper than `canonical_key`: the best leaf."""
-    return _best_leaf(g.adjacency_masks(), [list(range(g.n))])
 
 
 def is_edge_transitive(g: Graph) -> bool:

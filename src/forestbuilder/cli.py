@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("what", choices=[*_PAIR_SEARCHES, "logconcave"])
     sub.add_argument("--n", type=int, action=_Once)
     sub.add_argument("--max-n", type=int, action=_Once)
-    fmt(sub)
+    fmt(sub, choices=("json",))
     sub.set_defaults(handler=_cmd_search)
 
     sub = subs.add_parser("conjecture", help="compare G_{2k+1} with K_{k,k+1}")

@@ -1,15 +1,16 @@
 """Exhaustive small-graph searches over process polynomials.
 
 Each isomorphism class is reported as one canonical graph6 string, its
-canonical key.  Enumeration dedups each level of edge or leaf augmentations
-by the refinement certificate `canon._certificate`, which is much cheaper
-than the lexmax search behind the key, and computes `canonical_key` once
-per class it returns.  Edge augmentation certifies only the children whose
-new edge has the largest degree sum d(a)+d(b) (McKay's canonical deletion,
-J. Algorithms 1998); that is complete because deleting such an edge from
-any class lands in the previous level, and isomorphisms preserve degrees.
-The representatives are parsed from those keys, so a representative is a
-canonical form whose own graph6 is its key: it is never keyed twice.
+canonical key.  Enumeration is orderly generation (Read, Every one a
+winner, 1978) over lexmax canonical forms, so it keys nothing and dedups
+nothing.  By the last-1 deletion fact (proved in `canon`), every form with
+m edges arises exactly once from a form with m-1 edges, by setting one
+0-bit after that form's last 1-bit, and the children kept are those
+`canon._is_lexmax` accepts.  By the connected prefix fact, every tree is
+the tree one vertex smaller plus a last vertex that is a leaf, so leaf
+augmentation of canonical trees with the same test makes each tree once.
+Kept graphs list their edges in graph6 order, as `parse_graph6` of their
+key would: a representative is a canonical form whose graph6 is its key.
 Every search reports replayable records: graphs as graph6 strings plus the
 exact polynomials involved.
 """
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from .canon import _certificate, canonical_key, is_edge_transitive
+from .canon import _is_lexmax, canonical_key, is_edge_transitive
 from .distribution import ForestDistribution
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
@@ -35,60 +36,34 @@ EXHAUSTIVE_VERTEX_CAP = 6
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 
 
-def _grow(
-    level: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
-) -> list[Graph]:
-    """The first child met of each class among the children of `level`.
+def _canonical_levels(n: int) -> Iterator[list[Graph]]:
+    """The canonical forms on n vertices with m edges, for m = 1, 2, ...
 
-    Children are deduplicated by refinement certificate, so the kept graphs
-    carry whatever labelling their parent and augmentation gave them; they
-    are put in canonical form only by the caller, once per class it keeps.
+    Each level comes in graph6 order.  A child sets one 0-bit after its
+    parent's last 1-bit and is kept when it is its own lexmax form.
     """
-    nxt: dict[tuple[int, ...], Graph] = {}
-    for g in level:
-        for h in children(g):
-            nxt.setdefault(_certificate(h), h)
-    return list(nxt.values())
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # graph6 bit order
+    level = [(Graph(n, ()), -1)]  # (form, position of its last 1-bit)
+    for _ in pairs:
+        level = [
+            (h, q)
+            for g, last in level
+            for q in range(last + 1, len(pairs))
+            if _is_lexmax(h := Graph(n, g.edges + (pairs[q],)))
+        ]
+        level.sort(key=lambda item: serialize_graph6(item[0]))
+        yield [g for g, _ in level]
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected n-vertex graphs.
 
-    Grown by edge augmentation: every class with m edges arises from some
-    class with m-1 edges by adding back an edge of largest degree sum (drop
-    that edge; an isomorphism carries it to an edge of largest degree sum),
-    so only such children are deduplicated by certificate, level by level.
     Representatives are canonical forms, ordered by (edge count, canonical
-    key).
+    key), from the orderly generation of every n-vertex canonical form.
     """
     if not 2 <= n <= SEARCH_VERTEX_CAP:
         raise SizeCapExceeded(f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}")
-    pairs = list(combinations(range(n), 2))
-
-    def add_edge(g: Graph) -> Iterator[Graph]:
-        # canonical deletion: g + uv only when uv has the largest degree sum
-        # in the child, s = d(u)+d(v)+2.  Adding uv lifts an old edge's sum
-        # by at most 1, so an old edge beats s only when s == top and it is
-        # a top edge of g with u or v as an endpoint.
-        present = g.edge_set()
-        deg = g.degrees()
-        sums = [deg[a] + deg[b] for a, b in g.edges]
-        top = max(sums, default=0)
-        hot = {w for e, s in zip(g.edges, sums) if s == top for w in e}
-        for e in pairs:
-            if e in present:
-                continue
-            u, v = e
-            s = deg[u] + deg[v] + 2
-            if s > top or (s == top and u not in hot and v not in hot):
-                yield Graph(n, g.edges + (e,))
-
-    level = [Graph(n, ())]
-    found: list[tuple[int, str]] = []
-    for m in range(1, len(pairs) + 1):
-        level = _grow(level, add_edge)
-        found.extend((m, canonical_key(g)) for g in level if is_connected(g))
-    return [parse_graph6(key) for _, key in sorted(found)]
+    return [g for level in _canonical_levels(n) for g in level if is_connected(g)]
 
 
 def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
@@ -108,19 +83,20 @@ def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of n-vertex trees.
 
-    Grown by leaf augmentation (attach a new vertex to each possible host),
-    complete because every tree with at least two vertices has a leaf.
+    Made by orderly leaf augmentation (see the module docstring).
+    Representatives are canonical forms, in canonical key order.
     """
     if not 1 <= n <= TREE_VERTEX_CAP:
         raise SizeCapExceeded(f"tree enumeration cap is 1..{TREE_VERTEX_CAP}")
-
-    def add_leaf(t: Graph) -> Iterator[Graph]:
-        return (Graph(t.n + 1, t.edges + ((host, t.n),)) for host in range(t.n))
-
     level = [Graph(1, ())]
-    for _ in range(2, n + 1):
-        level = _grow(level, add_leaf)
-    return [parse_graph6(key) for key in sorted(canonical_key(t) for t in level)]
+    for k in range(1, n):
+        level = [
+            t
+            for parent in level
+            for host in range(k)
+            if _is_lexmax(t := Graph(k + 1, parent.edges + ((host, k),)))
+        ]
+    return sorted(level, key=serialize_graph6)
 
 
 @dataclass(frozen=True)

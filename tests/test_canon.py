@@ -1,4 +1,4 @@
-"""Canonical labeling, certificates, and edge transitivity."""
+"""Canonical labeling, the lexmax test, certificates, and edge transitivity."""
 
 from itertools import combinations, permutations
 
@@ -6,7 +6,8 @@ import pytest
 
 from forestbuilder.canon import (
     CANONICAL_VERTEX_CAP,
-    _certificate,
+    _best_leaf,
+    _is_lexmax,
     canonical_form,
     canonical_key,
     is_edge_transitive,
@@ -68,8 +69,32 @@ def test_twin_classes_canonicalize_at_sixteen_vertices():
     assert canonical_key(complete_bipartite(8, 8)) == serialize_graph6(k88)
 
 
+def test_lexmax_test_matches_brute_force_oracle():
+    # every labelled graph on at most 5 vertices: accepted exactly when its
+    # graph6 is the largest over all relabelings (the maximum is taken once
+    # per isomorphism class, over the class's labelled graphs)
+    for n, classes in enumerate((1, 1, 2, 4, 11, 34)):  # OEIS A000088
+        pairs = list(combinations(range(n), 2))
+        largest: dict[str, str] = {}
+        accepted = 0
+        for subset in range(1 << len(pairs)):
+            g = Graph(n, tuple(p for i, p in enumerate(pairs) if (subset >> i) & 1))
+            text = serialize_graph6(g)
+            if text not in largest:
+                relabeled = {serialize_graph6(g.relabel(perm)) for perm in permutations(range(n))}
+                largest.update(dict.fromkeys(relabeled, max(relabeled)))
+            assert _is_lexmax(g) == (text == largest[text]), text
+            accepted += _is_lexmax(g)
+        assert accepted == classes
+
+
 def _graph_where(n: int, adjacent) -> Graph:
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)))
+
+
+def _certificate(g: Graph) -> tuple[int, ...]:
+    """The best leaf from the unit partition: a complete isomorphism invariant."""
+    return _best_leaf(g.adjacency_masks(), [list(range(g.n))])
 
 
 def test_certificate_on_vertex_transitive_graphs():

@@ -155,6 +155,17 @@ def test_search_requires_size_flags(capsys):
     assert "requires --max-n" in capsys.readouterr().err
 
 
+def test_search_prints_json_only(capsys):
+    # --format json is the default; no other format is accepted
+    out = _ok(capsys, ["search", "pairs", "--n", "4"])
+    assert _ok(capsys, ["search", "pairs", "--n", "4", "--format", "json"]) == out
+    for argv in (["pairs", "--n", "4"], ["logconcave", "--max-n", "4"]):
+        assert run(["search", *argv, "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format: invalid choice" in captured.err
+
+
 def test_conjecture_output(capsys):
     payload = json.loads(_ok(capsys, ["conjecture", "--k", "2"]))
     assert payload["k"] == 2 and payload["holds"] is True

@@ -1,18 +1,16 @@
 """Exhaustive small-graph searches and their replayable reports."""
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import forestbuilder.search as search
-from forestbuilder.canon import _certificate, canonical_key, is_edge_transitive
+from forestbuilder.canon import canonical_key, is_edge_transitive
 from forestbuilder.engine import expected_components, forest_polynomial
 from forestbuilder.errors import SizeCapExceeded
 from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph, is_connected
-from forestbuilder.rng import SplitMix64
 from forestbuilder.search import (
     check_conjecture,
     check_log_concavity,
@@ -104,69 +102,51 @@ def every_leaf_added(t: Graph) -> list[Graph]:
     return [Graph(t.n + 1, t.edges + ((host, t.n),)) for host in range(t.n)]
 
 
-def test_certificate_splits_enumeration_children_like_canonical_key(monkeypatch):
-    # every augmentation of every graph _grow is handed while enumerating
-    # connected graphs on n <= 7 and trees on n <= 10, whether or not the
-    # canonical-deletion filter lets it through: certificate and lexmax key
-    # must induce the same classes, each class must keep its certificate
-    # under relabeling, and _grow must keep every class met
-    levels: list[tuple[list[Graph], list[Graph]]] = []  # (parents, kept)
-    real_grow = search._grow
-
-    def recording(level, children):
-        level = list(level)
-        kept = real_grow(level, children)
-        levels.append((level, kept))
-        return kept
-
-    monkeypatch.setattr(search, "_grow", recording)
-    for n in range(2, 8):
-        enumerate_connected_graphs(n)
-    graph_levels = len(levels)
-    for n in range(2, 11):
-        enumerate_trees(n)
-
-    rng = SplitMix64(11)
-    counts = []
-    for grown, augment in (
-        (levels[:graph_levels], every_edge_added),
-        (levels[graph_levels:], every_leaf_added),
+def test_orderly_generation_keeps_each_class_once_in_canonical_form():
+    # every edge (or leaf) augmentation of every level graph, for connected
+    # graphs on n <= 7 and trees on n <= 10, lands in the next level, whose
+    # graphs are their own canonical forms with no key repeated
+    graph_levels = {
+        n: [[Graph(n, ())], *search._canonical_levels(n)] for n in range(2, 8)
+    }
+    tree_levels = [[Graph(1, ())]] + [enumerate_trees(n) for n in range(2, 11)]
+    for levels, augment in (
+        *((levels, every_edge_added) for levels in graph_levels.values()),
+        (tree_levels, every_leaf_added),
     ):
-        classes: dict[str, Graph] = {}
-        cert_of: dict[str, tuple[int, ...]] = {}
-        kept_keys: set[str] = set()
-        for parents, kept in grown:
-            for h in (h for g in parents for h in augment(g)):
-                key, cert = canonical_key(h), _certificate(h)
-                assert cert_of.setdefault(key, cert) == cert
-                classes.setdefault(key, h)
-            kept_keys.update(canonical_key(h) for h in kept)
-        assert kept_keys == set(classes)
-        assert len(set(cert_of.values())) == len(cert_of)
-        for key, g in classes.items():
-            perm = list(range(g.n))
-            for _ in range(5):
-                rng.shuffle(perm)
-                assert _certificate(g.relabel(perm)) == cert_of[key]
-        counts.append(Counter(g.n for g in classes.values()))
+        for level, nxt in zip(levels, levels[1:]):
+            keys = [serialize_graph6(g) for g in nxt]
+            assert keys == [canonical_key(g) for g in nxt]
+            assert len(set(keys)) == len(keys)
+            assert {canonical_key(h) for g in level for h in augment(g)} == set(keys)
     # the levels hold every graph but the edgeless one, and every tree
-    assert counts[0] == {n: c - 1 for n, c in ALL_CLASS_COUNTS.items()}
-    assert counts[1] == dict(enumerate(TREE_CLASS_COUNTS[1:], start=2))
+    assert {n: sum(map(len, levels[1:])) for n, levels in graph_levels.items()} == {
+        n: c - 1 for n, c in ALL_CLASS_COUNTS.items()
+    }
+    assert [len(level) for level in tree_levels] == TREE_CLASS_COUNTS
 
 
-def test_canonical_deletion_certifies_few_children(monkeypatch, connected_classes):
-    # only children whose new edge has the largest degree sum are certified:
-    # 2,520 of the 10,962 edge augmentations at n = 7
+def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, connected_classes):
+    # one test per child, a 0-bit set after its parent's last 1-bit: 2,377
+    # at n = 7, 1,043 of them accepted
     calls = []
-    real_certificate = search._certificate
+    real_is_lexmax = search._is_lexmax
 
-    def counting(h):
-        calls.append(h)
-        return real_certificate(h)
+    def counting(g):
+        calls.append(g)
+        return real_is_lexmax(g)
 
-    monkeypatch.setattr(search, "_certificate", counting)
+    monkeypatch.setattr(search, "_is_lexmax", counting)
     assert tuple(enumerate_connected_graphs(7)) == connected_classes[7]
-    assert len(calls) <= 3000
+    assert len(calls) <= 2500
+
+
+def test_canonical_levels_reach_every_graph_on_eight_vertices():
+    # past SEARCH_VERTEX_CAP: A000088(8) = 12,346 graphs (the edgeless one is
+    # no level's), A001349(8) = 11,117 of them connected
+    graphs = [g for level in search._canonical_levels(8) for g in level]
+    assert len(graphs) == 12346 - 1
+    assert sum(map(is_connected, graphs)) == 11117
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
