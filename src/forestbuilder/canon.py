@@ -178,7 +178,10 @@ def _is_lexmax(g: Graph) -> bool:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-class representative with lexicographic edge order."""
+    """Isomorphism-class representative, edges in graph6 (column-major) order.
+
+    It equals `parse_graph6(canonical_key(g))`, edge order included.
+    """
     if g.n > CANONICAL_VERTEX_CAP:
         raise SizeCapExceeded(
             f"canonical labeling cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}"
@@ -188,7 +191,7 @@ def canonical_form(g: Graph) -> Graph:
     for pos, v in enumerate(ordering):
         position[v] = pos
     relabeled = g.relabel(position)
-    return Graph(g.n, tuple(sorted(relabeled.edges)))
+    return Graph(g.n, tuple(sorted(relabeled.edges, key=lambda e: (e[1], e[0]))))
 
 
 def canonical_key(g: Graph) -> str:

@@ -143,8 +143,9 @@ class PolynomialEngine:
     levels, j-1 and j edges) and the entries of the law cache; exceeding it
     raises MemoryBudgetExceeded rather than thrashing.  It counts
     matchings, not bytes: each held matching carries an integer of about
-    log2(m!) bits, so a solve near the 2^20 default can hold about a
-    quarter of a gigabyte (K_13, at about 405k matchings, peaks at 98 MB).
+    log2(m!) bits and its m-bit union U(S), so a solve near the 2^20
+    default can hold about a quarter of a gigabyte (K_13, at about 405k
+    matchings, peaks at 105 MB).
     """
 
     def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
@@ -152,7 +153,13 @@ class PolynomialEngine:
         self._laws: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def distribution(self, g: Graph) -> ForestDistribution:
-        """Exact p_G as a distribution; edgeless graphs give the empty map."""
+        """Exact p_G as a distribution; edgeless graphs give the empty map.
+
+        A connected graph is its own component: its law is copied out of
+        the cache as it stands.  Other graphs convolve their components.
+        """
+        if g.m and is_connected(g):
+            return ForestDistribution(g.n, g.m, dict(self._component_law(g)))
         acc = {0: Fraction(1)}
         for piece in components(g):
             acc = convolve(acc, self._component_law(piece))
@@ -186,27 +193,23 @@ class PolynomialEngine:
         """[E_0, E_1, ...] for a connected component, one matching level at a time.
 
         A matching is an edge-id bitmask and is built from the matching
-        without its highest edge, so each is made once.  Before a level is
+        without its highest edge, so each is made once.  Each level keeps
+        the unions U(S) in a list aligned with its dict's insertion order,
+        and an extension by edge e gets U(S) | closed[e].  Before a level is
         built, its size is counted and checked against the budget.
         """
         at = [0] * comp.n
         for eid, (u, v) in enumerate(comp.edges):
             at[u] |= 1 << eid
             at[v] |= 1 << eid
-        closed = [at[u] | at[v] for u, v in comp.edges]
+        closed = {1 << eid: at[u] | at[v] for eid, (u, v) in enumerate(comp.edges)}
         full = (1 << comp.m) - 1
         level = {0: factorial(comp.m)}
+        unions = [0]
         sums = [level[0]]
         while True:
-            unions = []
             held = len(level)
-            for s in level:
-                union, rest = 0, s
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    union |= closed[low.bit_length() - 1]
-                unions.append(union)
+            for s, union in zip(level, unions):
                 held += (full & ~union & -(1 << s.bit_length())).bit_count()
             if held > self.max_memo_entries:
                 raise MemoryBudgetExceeded(
@@ -214,6 +217,7 @@ class PolynomialEngine:
                     f"{held} matchings of {len(sums) - 1} and {len(sums)} edges at once"
                 )
             nxt: dict[int, int] = {}
+            nxt_unions = []
             for (s, c), union in zip(level.items(), unions):
                 grow = full & ~union & -(1 << s.bit_length())
                 while grow:
@@ -225,11 +229,13 @@ class PolynomialEngine:
                         bit = rest & -rest
                         rest ^= bit
                         total += level[key ^ bit]
-                    nxt[key] = total // (union | closed[low.bit_length() - 1]).bit_count()
+                    grown = union | closed[low]
+                    nxt[key] = total // grown.bit_count()
+                    nxt_unions.append(grown)
             if not nxt:
                 return sums
             sums.append(sum(nxt.values()))
-            level = nxt
+            level, unions = nxt, nxt_unions
 
     def memo_sizes(self) -> tuple[int]:
         """The number of cached component laws, as a one-element tuple."""

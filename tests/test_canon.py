@@ -20,7 +20,7 @@ from forestbuilder.families import (
     path_graph,
     star_graph,
 )
-from forestbuilder.graph6 import serialize_graph6
+from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph, from_edge_list
 from forestbuilder.rng import SplitMix64
 
@@ -131,6 +131,18 @@ def test_canonical_form_properties():
     assert sorted(cf.degrees()) == sorted(g.degrees())
     assert canonical_form(cf) == cf
     assert serialize_graph6(cf) == canonical_key(g)
+
+
+def test_canonical_form_is_the_parsed_canonical_key(connected_classes):
+    k4 = complete_graph(4)
+    assert canonical_form(k4) == parse_graph6(canonical_key(k4))
+    rng = SplitMix64(41)
+    for n in range(2, 7):
+        for g in connected_classes[n]:
+            assert canonical_form(g) == parse_graph6(canonical_key(g)) == g
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == g
 
 
 def _automorphisms_oracle(g: Graph) -> list[tuple[int, ...]]:

@@ -245,3 +245,64 @@ def test_memoization_controls():
     tight = PolynomialEngine(max_memo_entries=2)
     with pytest.raises(MemoryBudgetExceeded):
         tight.distribution(complete_graph(5))
+
+
+@pytest.mark.parametrize(
+    "g, budget, message",
+    [
+        (complete_graph(5), 2, "11 matchings of 0 and 1 edges at once"),
+        (random_regular_graph(10, 3, 0), 15, "16 matchings of 0 and 1 edges at once"),
+        (random_regular_graph(10, 3, 0), 60, "90 matchings of 1 and 2 edges at once"),
+        (random_regular_graph(10, 3, 0), 120, "219 matchings of 2 and 3 edges at once"),
+        # one short of the most this graph holds at once
+        (random_regular_graph(10, 3, 0), 232, "233 matchings of 3 and 4 edges at once"),
+    ],
+)
+def test_matching_budget_messages_are_pinned(g, budget, message):
+    with pytest.raises(MemoryBudgetExceeded) as caught:
+        PolynomialEngine(max_memo_entries=budget).distribution(g)
+    assert str(caught.value) == f"matching budget of {budget} entries exhausted: {message}"
+
+
+def test_cubic_graph_solves_at_exactly_its_matching_need():
+    g = random_regular_graph(10, 3, 0)
+    assert PolynomialEngine(max_memo_entries=233).distribution(g).total() == 1
+
+
+def test_connected_distribution_does_not_hand_out_the_cached_law():
+    own = PolynomialEngine()
+    g = cycle_graph(5)
+    first = own.distribution(g)
+    expected = dict(first.probs)
+    first.probs.clear()
+    first.probs[7] = Fraction(1)
+    assert own.distribution(g).probs == expected == brute_force_distribution(g).probs
+    assert own.one_component(g) == expected[1]
+    own.distribution(g).probs[1] = Fraction(0)
+    assert own.one_component(g) == expected[1]
+
+
+def test_isolated_vertices_leave_the_law_of_the_rest(engine):
+    # vertex 0 isolated, the last vertex isolated, or both: not connected,
+    # so these take the component split; disjoint unions are checked by
+    # test_disjoint_union_distribution_is_a_convolution
+    k4 = complete_graph(4)
+    law = engine.distribution(k4).probs
+    shifted = tuple((u + 1, v + 1) for u, v in k4.edges)
+    for g in (Graph(5, shifted), Graph(5, k4.edges), Graph(6, shifted)):
+        dist = engine.distribution(g)
+        assert (dist.n, dist.m, dist.probs) == (g.n, g.m, law)
+        assert dist.probs == brute_force_distribution(g).probs
+
+
+def test_memo_holds_one_law_per_connected_graph():
+    own = PolynomialEngine()
+    g = complete_bipartite(2, 3)
+    own.distribution(g)
+    assert own.memo_sizes() == (1,)
+    own.distribution(g)
+    own.one_component(g)
+    assert own.memo_sizes() == (1,)
+    union = Graph(7, g.edges + ((5, 6),))
+    own.distribution(union)
+    assert own.memo_sizes() == (2,)  # the K_{2,3} law again, plus one edge
