@@ -1,4 +1,4 @@
-"""Canonical labeling and edge orbits of small graphs, by two searches.
+"""Canonical labeling and edge orbits of small graphs, by one search.
 
 The canonical form is the vertex ordering whose upper-triangle adjacency
 bits (in graph6 column-major order) are lexicographically largest; two
@@ -41,16 +41,18 @@ it.  Two facts let enumeration build lexmax forms from smaller ones:
   vertices would beat the whole string.  So the last vertex of a lexmax
   tree is a leaf, and deleting it leaves the lexmax tree one vertex smaller.
 
-The refinement search (colour refinement to an equitable partition plus
-individualization: McKay and Piperno, Practical graph isomorphism II, 2014)
-starts from an ordered vertex partition.  With an edge's endpoints as the
-first cell it gives an invariant of the edge's orbit, for
-`is_edge_transitive`.
+For `is_edge_transitive` the same search is restricted to orderings that
+place an edge's two endpoints first.  The bit string of the best such
+ordering is an invariant of the edge's orbit: an automorphism mapping uv
+onto xy maps the orderings that place u and v first onto those that place
+x and y first, and two edges with equal strings give an automorphism
+(position to position) mapping one onto the other.  The pruning stays
+sound under the restriction: every twin swap it uses and every stored
+tie-leaf automorphism maps {u, v} onto itself, and past depth 2 the prefix
+it must fix pointwise holds both.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import SizeCapExceeded
 from .graphs import Graph
@@ -89,12 +91,16 @@ class _Beaten(Exception):
     """A partial ordering's bits exceed those of the target ordering."""
 
 
-def _search(n: int, masks: list[int], target: list[int] | None = None) -> list[int]:
+def _search(
+    n: int, masks: list[int], target: list[int] | None = None, first: int = 0
+) -> list[int]:
     """Return the canonical ordering: ordering[pos] is the vertex at pos.
 
     Given a `target` ordering, the search starts with it as the incumbent,
     so it walks only the branches tied with it, and raises `_Beaten` as
     soon as one beats it: `target` is canonical exactly when it returns.
+    Given `first`, a bitmask of two vertices, it returns the best ordering
+    that places those two first.
     The automorphisms it prunes with are twin swaps and vertex maps
     discovered at tie leaves.  Inner loops are written for speed: vertex
     sets are bitmasks where they are tested, and the one-bit-per-vertex
@@ -130,7 +136,8 @@ def _search(n: int, masks: list[int], target: list[int] | None = None) -> list[i
         on_best = tied and best_perm is not None
         tried = 0  # bitmask of the candidates explored at this node
         shifted = cum << depth
-        for v in sorted(unplaced, key=vb.__getitem__, reverse=True):
+        pool = unplaced if depth >= 2 or not first else [v for v in unplaced if first >> v & 1]
+        for v in sorted(pool, key=vb.__getitem__, reverse=True):
             ncum = shifted | vb[v]  # vbits fit below the shift
             if on_best:
                 incumbent = best_cums[depth]
@@ -199,96 +206,16 @@ def canonical_key(g: Graph) -> str:
     return serialize_graph6(canonical_form(g))
 
 
-def _refine(masks: list[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
-    """Coarsest equitable refinement of the ordered partition `cells`.
-
-    Each splitter (a vertex bitmask) splits every cell by its vertices'
-    neighbour counts in the splitter, pieces ordered by count, and every new
-    piece is queued as a splitter.  `splitters` must cover what `cells` is
-    not yet equitable against: every cell of an initial partition, the new
-    singleton after individualizing in an equitable partition.
-    Splits and order depend on the graph and the input, never on labels.
-    """
-    n = len(masks)
-    queue = deque(splitters)
-    while queue and len(cells) < n:
-        splitter = queue.popleft()
-        split: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                split.append(cell)
-                continue
-            pieces: dict[int, list[int]] = {}
-            for v in cell:
-                pieces.setdefault((masks[v] & splitter).bit_count(), []).append(v)
-            if len(pieces) == 1:
-                split.append(cell)
-                continue
-            for count in sorted(pieces):
-                piece = pieces[count]
-                split.append(piece)
-                queue.append(sum(1 << v for v in piece))
-        cells = split
-    return cells
-
-
-def _best_leaf(masks: list[int], cells: list[list[int]]) -> tuple[int, ...]:
-    """Complete invariant of the graph coloured by the ordered partition `cells`.
-
-    Refines to an equitable partition, then individualizes each vertex of
-    the first smallest non-singleton cell in turn (one per twin class: twins
-    in one cell are swapped by an automorphism that keeps the colouring) and
-    refines again, down to discrete partitions.  Cells split in place, so
-    each leaf orders the vertices cell by cell; the result is the largest
-    adjacency tuple (row i: the bits of the i-th vertex to the earlier ones).
-    """
-    n = len(masks)
-    twins = _twin_masks(masks)
-    best: tuple[int, ...] = ()
-
-    def visit(cells: list[list[int]], splitters: list[int]) -> None:
-        nonlocal best
-        cells = _refine(masks, cells, splitters)
-        if len(cells) == n:
-            order = [v for v, in cells]
-            rows = []
-            for i, v in enumerate(order):
-                mv, row = masks[v], 0
-                for u in order[:i]:
-                    row = (row << 1) | ((mv >> u) & 1)
-                rows.append(row)
-            leaf = tuple(rows)
-            if leaf > best:
-                best = leaf
-            return
-        _, i = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)
-        cell = cells[i]
-        tried = 0
-        for v in cell:
-            if twins[v] & tried:
-                continue
-            tried |= 1 << v
-            visit(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :], [1 << v])
-
-    cells = [cell for cell in cells if cell]  # an edge of K_2 leaves no rest
-    visit(cells, [sum(1 << v for v in cell) for cell in cells])
-    return best
-
-
 def is_edge_transitive(g: Graph) -> bool:
     """Whether the automorphism group acts transitively on the edges.
 
-    An automorphism maps edge uv onto edge xy exactly when G coloured
-    [[u, v], rest] and G coloured [[x, y], rest] have the same best leaf,
-    since both endpoints fill the first two places of every leaf ordering.
-    Stops at the first edge whose best leaf differs from the first edge's.
+    Compares, across edges uv, the bit string of the best ordering that
+    places u and v first (see the module docstring), and stops at the
+    first edge whose string differs from the first edge's.
     """
     if g.n > CANONICAL_VERTEX_CAP:
         raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
     masks = g.adjacency_masks()
-    leaves = (
-        _best_leaf(masks, [[u, v], [w for w in range(g.n) if w != u and w != v]])
-        for u, v in g.edges
-    )
-    first = next(leaves, None)
-    return all(leaf == first for leaf in leaves)
+    strings = (_cums(masks, _search(g.n, masks, first=1 << u | 1 << v))[-1] for u, v in g.edges)
+    head = next(strings, None)
+    return all(string == head for string in strings)

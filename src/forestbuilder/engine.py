@@ -143,7 +143,7 @@ class PolynomialEngine:
     levels, j-1 and j edges) and the entries of the law cache; exceeding it
     raises MemoryBudgetExceeded rather than thrashing.  It counts
     matchings, not bytes: each held matching carries an integer of about
-    log2(m!) bits and its m-bit union U(S), so a solve near the 2^20
+    log2(m!) bits and its m-bit free set E - U(S), so a solve near the 2^20
     default can hold about a quarter of a gigabyte (K_13, at about 405k
     matchings, peaks at 105 MB).
     """
@@ -192,34 +192,33 @@ class PolynomialEngine:
     def _matching_sums(self, comp: Graph) -> list[int]:
         """[E_0, E_1, ...] for a connected component, one matching level at a time.
 
-        A matching is an edge-id bitmask and is built from the matching
-        without its highest edge, so each is made once.  Each level keeps
-        the unions U(S) in a list aligned with its dict's insertion order,
-        and an extension by edge e gets U(S) | closed[e].  Before a level is
-        built, its size is counted and checked against the budget.
+        A matching is an edge-id bitmask built from the matching without its
+        highest edge, so each is made once.  Each level keeps the free sets
+        F(S) = E - U(S) in a list aligned with its dict's insertion order,
+        and S + e gets F(S) & ~closed[e], with |U| = m - |F|.  Building a
+        level counts it and the next, for the budget check before the next.
         """
         at = [0] * comp.n
         for eid, (u, v) in enumerate(comp.edges):
             at[u] |= 1 << eid
             at[v] |= 1 << eid
         closed = {1 << eid: at[u] | at[v] for eid, (u, v) in enumerate(comp.edges)}
-        full = (1 << comp.m) - 1
-        level = {0: factorial(comp.m)}
-        unions = [0]
+        m = comp.m
+        level = {0: factorial(m)}
+        frees = [(1 << m) - 1]
+        held = 1 + m
         sums = [level[0]]
         while True:
-            held = len(level)
-            for s, union in zip(level, unions):
-                held += (full & ~union & -(1 << s.bit_length())).bit_count()
             if held > self.max_memo_entries:
                 raise MemoryBudgetExceeded(
                     f"matching budget of {self.max_memo_entries} entries exhausted: "
                     f"{held} matchings of {len(sums) - 1} and {len(sums)} edges at once"
                 )
             nxt: dict[int, int] = {}
-            nxt_unions = []
-            for (s, c), union in zip(level.items(), unions):
-                grow = full & ~union & -(1 << s.bit_length())
+            nxt_frees = []
+            held = 0
+            for (s, c), free in zip(level.items(), frees):
+                grow = free & -(1 << s.bit_length())
                 while grow:
                     low = grow & -grow
                     grow ^= low
@@ -229,13 +228,14 @@ class PolynomialEngine:
                         bit = rest & -rest
                         rest ^= bit
                         total += level[key ^ bit]
-                    grown = union | closed[low]
-                    nxt[key] = total // grown.bit_count()
-                    nxt_unions.append(grown)
+                    left = free & ~closed[low]
+                    nxt[key] = total // (m - left.bit_count())
+                    nxt_frees.append(left)
+                    held += 1 + (left & -(low << 1)).bit_count()
             if not nxt:
                 return sums
             sums.append(sum(nxt.values()))
-            level, unions = nxt, nxt_unions
+            level, frees = nxt, nxt_frees
 
     def memo_sizes(self) -> tuple[int]:
         """The number of cached component laws, as a one-element tuple."""

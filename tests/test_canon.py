@@ -1,4 +1,4 @@
-"""Canonical labeling, the lexmax test, certificates, and edge transitivity."""
+"""Canonical labeling, the lexmax test, and edge orbits."""
 
 from itertools import combinations, permutations
 
@@ -6,8 +6,9 @@ import pytest
 
 from forestbuilder.canon import (
     CANONICAL_VERTEX_CAP,
-    _best_leaf,
+    _cums,
     _is_lexmax,
+    _search,
     canonical_form,
     canonical_key,
     is_edge_transitive,
@@ -92,11 +93,6 @@ def _graph_where(n: int, adjacent) -> Graph:
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)))
 
 
-def _certificate(g: Graph) -> tuple[int, ...]:
-    """The best leaf from the unit partition: a complete isomorphism invariant."""
-    return _best_leaf(g.adjacency_masks(), [list(range(g.n))])
-
-
 def test_certificate_on_vertex_transitive_graphs():
     # pairs that colour refinement alone cannot split: regular graphs of
     # equal degree, and the 4x4 rook graph against Shrikhande's graph, which
@@ -114,14 +110,14 @@ def test_certificate_on_vertex_transitive_graphs():
         _graph_where(16, lambda u, v: ((v // 4 - u // 4) % 4, (v - u) % 4) in shrikhande_steps),
     ]
     assert [set(g.degrees()) for g in graphs] == [{2}, {2}, {3}, {3}, {8}, {6}, {6}]
-    certificates = [_certificate(g) for g in graphs]
-    assert len(set(certificates)) == len(graphs)
+    keys = [canonical_key(g) for g in graphs]
+    assert len(set(keys)) == len(graphs)
     rng = SplitMix64(5)
-    for g, cert in zip(graphs, certificates):
+    for g, key in zip(graphs, keys):
         perm = list(range(g.n))
         for _ in range(5):
             rng.shuffle(perm)
-            assert _certificate(g.relabel(perm)) == cert
+            assert canonical_key(g.relabel(perm)) == key
 
 
 def test_canonical_form_properties():
@@ -179,6 +175,29 @@ def test_edge_transitivity_matches_brute_force_oracle(connected_classes):
     verdicts = [is_edge_transitive(g) for g in classes]
     assert verdicts == [_edge_transitive_oracle(g) for g in classes]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_edge_strings_are_the_edge_orbits():
+    # every labelled graph on at most 5 vertices: two edges get the same
+    # string of their restricted search exactly when an automorphism of the
+    # brute-force group maps one onto the other
+    edges_checked = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for subset in range(1 << len(pairs)):
+            g = Graph(n, tuple(p for i, p in enumerate(pairs) if (subset >> i) & 1))
+            masks = g.adjacency_masks()
+            by_string: dict[int, set[tuple[int, int]]] = {}
+            for u, v in g.edges:
+                string = _cums(masks, _search(n, masks, first=1 << u | 1 << v))[-1]
+                by_string.setdefault(string, set()).add((u, v))
+            autos = _automorphisms_oracle(g)
+            orbits = {
+                frozenset((min(s[u], s[v]), max(s[u], s[v])) for s in autos) for u, v in g.edges
+            }
+            assert orbits == {frozenset(edges) for edges in by_string.values()}, g
+            edges_checked += g.m
+    assert edges_checked == 5325  # sum over n of C(n, 2) 2^(C(n, 2) - 1)
 
 
 def test_edge_transitivity_at_the_vertex_cap():
