@@ -40,13 +40,11 @@ from .canon import (
 )
 from .graph6 import parse_graph6, serialize_graph6
 from .families import (
-    GeneratorSpec,
     balanced_bipartite_plus_edge,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    generate,
     gnm_random_graph,
     path_graph,
     random_regular_graph,
@@ -59,7 +57,6 @@ __all__ = [
     "CANONICAL_VERTEX_CAP",
     "CHEEGER_VERTEX_CAP",
     "ForestDistribution",
-    "GeneratorSpec",
     "Graph",
     "PolynomialEngine",
     "ProcessResult",
@@ -82,7 +79,6 @@ __all__ = [
     "format_edge_list",
     "format_fraction",
     "from_edge_list",
-    "generate",
     "gnm_random_graph",
     "is_connected",
     "is_edge_transitive",

@@ -13,11 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import closedforms, montecarlo, search
+from . import closedforms, families, montecarlo, search
 from .distribution import ForestDistribution, format_fraction
 from .engine import brute_force_distribution, forest_polynomial, single_component_probability, expected_components
 from .errors import ForestBuilderError, SizeCapExceeded
-from .families import GeneratorSpec, generate
 from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph, cheeger_constant, parse_edge_list
 from .search import SEARCH_VERTEX_CAP, TREE_VERTEX_CAP, enumerate_connected_graphs, enumerate_trees
@@ -49,18 +48,17 @@ def _seed(text: str) -> int:
     return value
 
 
-# --family name -> (GeneratorSpec family, required flags in parameter order);
-# a trailing graph-seed flag becomes the spec's seed
+# --family name -> (families constructor, required flags in argument order)
 _FAMILY_SPECS = {
-    "kn": ("complete", ("n",)),
-    "kst": ("complete_bipartite", ("s", "t")),
-    "multipartite": ("complete_multipartite", ("parts",)),
-    "path": ("path", ("n",)),
-    "cycle": ("cycle", ("n",)),
-    "star": ("star", ("n",)),
-    "plus-edge": ("bipartite_plus_edge", ("k",)),
-    "gnm": ("gnm", ("n", "m", "graph-seed")),
-    "regular": ("random_regular", ("n", "d", "graph-seed")),
+    "kn": (families.complete_graph, ("n",)),
+    "kst": (families.complete_bipartite, ("s", "t")),
+    "multipartite": (families.complete_multipartite, ("parts",)),
+    "path": (families.path_graph, ("n",)),
+    "cycle": (families.cycle_graph, ("n",)),
+    "star": (families.star_graph, ("n",)),
+    "plus-edge": (families.balanced_bipartite_plus_edge, ("k",)),
+    "gnm": (families.gnm_random_graph, ("n", "m", "graph-seed")),
+    "regular": (families.random_regular_graph, ("n", "d", "graph-seed")),
 }
 _FAMILIES = list(_FAMILY_SPECS)
 
@@ -102,12 +100,11 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _family_graph(ns: argparse.Namespace) -> Graph:
-    family, flags = _FAMILY_SPECS[ns.family]
+    build, flags = _FAMILY_SPECS[ns.family]
     params = _required(ns, f"--family {ns.family}", *flags)
-    seed = params.pop() if flags[-1] == "graph-seed" else None
-    if family == "complete_multipartite":
-        params = _parse_int_list(params[0], "--parts")
-    return generate(GeneratorSpec(family, tuple(params), seed))
+    if ns.family == "multipartite":
+        params = [tuple(_parse_int_list(params[0], "--parts"))]
+    return build(*params)
 
 
 def _graph_from_args(ns: argparse.Namespace) -> Graph:
@@ -141,19 +138,16 @@ def _value_output(value, fmt: str) -> str:
 
 def _cmd_poly(ns: argparse.Namespace) -> str:
     if ns.method == "closed":
-        context = f"--family {ns.family}"
-        if ns.family == "kn":
-            dist = closedforms.complete_distribution(*_required(ns, context, "n"))
-        elif ns.family == "kst":
-            dist = closedforms.bipartite_distribution(*_required(ns, context, "s", "t"))
-        elif ns.family == "path":
-            (vertices,) = _required(ns, context, "n")
-            if vertices < 2:
-                raise _UsageError("closed path polynomial needs --n >= 2 vertices")
-            dist = closedforms.path_distribution(vertices - 1)
-        else:
+        if ns.family not in ("kn", "kst", "path"):
             raise _UsageError("--method closed supports --family kn, kst, or path")
-        return _distribution_output(dist, ns.format)
+        formula, flags, output = _CLOSED_FORMULAS[ns.family]
+        params = _required(ns, f"--family {ns.family}", *flags)
+        if ns.family == "path":
+            # --n counts vertices here, the formula counts edges
+            if params[0] < 2:
+                raise _UsageError("closed path polynomial needs --n >= 2 vertices")
+            params[0] -= 1
+        return output(formula(*params), ns.format)
     g = _graph_from_args(ns)
     dist = brute_force_distribution(g) if ns.method == "brute" else forest_polynomial(g)
     return _distribution_output(dist, ns.format)

@@ -1,10 +1,11 @@
 """Closed-form values for special families, computed exactly.
 
-Everything here is independent of the recurrence engine, so these formulas
-double as oracles for it: complete and complete bipartite distributions,
-the bipartite boundary solution Q, expectation formulas for fixed families
-and for the uniform random graph G(n,m), the path recurrence and its
-tangent generating function, and the single-cycle value.
+Everything here is independent of the exact evaluator `PolynomialEngine`,
+so these formulas double as oracles for it: complete and complete
+bipartite distributions, the bipartite boundary solution Q, expectation
+formulas for fixed families and for the uniform random graph G(n,m), the
+path recurrence and its tangent generating function, and the single-cycle
+value.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Deterministic and random graph family generators.
 
 Deterministic families fix both the labeling and the edge list order, so a
-given spec always reproduces the identical Graph object.  Random families
-are pure functions of their seed.
+constructor called with the same arguments always returns the identical
+Graph object.  Random families are pure functions of their seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import GenerationTimeout, InfeasibleSpec
@@ -15,15 +14,6 @@ from .graphs import Graph
 from .rng import SplitMix64, derive_seed
 
 _REGULAR_RETRY_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Replayable description of a graph: family name, sizes, optional seed."""
-
-    family: str
-    params: tuple[int, ...]
-    seed: int | None = None
 
 
 def complete_graph(n: int) -> Graph:
@@ -136,31 +126,3 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     raise GenerationTimeout(
         f"no simple pairing found for n={n}, d={d} in {_REGULAR_RETRY_CAP} tries"
     )
-
-
-def generate(spec: GeneratorSpec) -> Graph:
-    """Build the graph a GeneratorSpec describes."""
-    family, p = spec.family, spec.params
-    if family == "complete":
-        return complete_graph(*p)
-    if family == "complete_bipartite":
-        return complete_bipartite(*p)
-    if family == "complete_multipartite":
-        return complete_multipartite(p)
-    if family == "path":
-        return path_graph(*p)
-    if family == "cycle":
-        return cycle_graph(*p)
-    if family == "star":
-        return star_graph(*p)
-    if family == "bipartite_plus_edge":
-        return balanced_bipartite_plus_edge(*p)
-    if family == "gnm":
-        if spec.seed is None:
-            raise InfeasibleSpec("gnm needs a seed")
-        return gnm_random_graph(p[0], p[1], spec.seed)
-    if family == "random_regular":
-        if spec.seed is None:
-            raise InfeasibleSpec("random_regular needs a seed")
-        return random_regular_graph(p[0], p[1], spec.seed)
-    raise InfeasibleSpec(f"unknown family {family!r}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .distribution import format_fraction
 from .engine import _scan
 from .errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
@@ -105,8 +106,7 @@ class DecayRow:
             # JSON has no infinity: a row with p1_hat 0 writes null
             "neg_log_p1_over_n": None if math.isinf(self.neg_log_p1_over_n) else
             self.neg_log_p1_over_n,
-            "cheeger": None if self.cheeger is None else
-            f"{self.cheeger.numerator}/{self.cheeger.denominator}",
+            "cheeger": None if self.cheeger is None else format_fraction(self.cheeger),
         }
 
 
@@ -143,8 +143,6 @@ def single_component_decay(
 def decay_rows_to_csv(rows: list[DecayRow]) -> str:
     lines = ["n,p1_hat,neg_log_p1_over_n,cheeger"]
     for row in rows:
-        cheeger = "" if row.cheeger is None else (
-            f"{row.cheeger.numerator}/{row.cheeger.denominator}"
-        )
+        cheeger = "" if row.cheeger is None else format_fraction(row.cheeger)
         lines.append(f"{row.n},{row.p1_hat!r},{row.neg_log_p1_over_n!r},{cheeger}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .canon import _is_lexmax, canonical_key, is_edge_transitive
-from .distribution import ForestDistribution
+from .distribution import ForestDistribution, format_fraction
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
 from .families import balanced_bipartite_plus_edge, complete_bipartite
@@ -128,11 +128,10 @@ class TwinReport:
     polynomial_b: ForestDistribution
 
     def to_json_dict(self) -> dict:
-        e = self.expected_components
         return {
             "graph6_a": self.graph6_a,
             "graph6_b": self.graph6_b,
-            "expected_components": f"{e.numerator}/{e.denominator}",
+            "expected_components": format_fraction(self.expected_components),
             "polynomial_a": self.polynomial_a.to_json_dict(),
             "polynomial_b": self.polynomial_b.to_json_dict(),
         }

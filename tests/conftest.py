@@ -4,6 +4,8 @@ The engine caches solved components by labelled edge set, so a test that
 meets a component an earlier test solved reuses its law.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from forestbuilder.engine import PolynomialEngine
@@ -19,3 +21,27 @@ def engine():
 def connected_classes():
     """Connected isomorphism class representatives keyed by vertex count."""
     return {n: tuple(enumerate_connected_graphs(n)) for n in range(2, 8)}
+
+
+@pytest.fixture(scope="session")
+def edge_degree_twins_6():
+    """(graph6_a, graph6_b, E(kappa)) of each edge-degree twin pair on 6 vertices.
+
+    Pinned from the output of the search while its keys were bytes.
+    """
+    return [
+        ("EsWO", "E{CG", Fraction(23, 12)),
+        ("EsX?", "E{CO", Fraction(17, 10)),
+        ("EsXO", "E{CW", Fraction(28, 15)),
+        ("EsXO", "E{OW", Fraction(28, 15)),
+        ("E{CW", "E{OW", Fraction(28, 15)),
+        ("Es\\?", "E{SO", Fraction(26, 15)),
+        ("E}Gg", "E}_g", Fraction(53, 30)),
+        ("Es\\_", "E{SW", Fraction(9, 5)),
+        ("Es\\_", "E{So", Fraction(9, 5)),
+        ("E{SW", "E{So", Fraction(9, 5)),
+        ("E}hO", "E}oo", Fraction(359, 210)),
+        ("E}Kg", "E}_w", Fraction(7, 4)),
+        ("Es\\o", "E{Sw", Fraction(9, 5)),
+        ("E}hW", "E}ow", Fraction(61, 35)),
+    ]

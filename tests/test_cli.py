@@ -2,10 +2,10 @@
 
 import json
 
+from forestbuilder import families
 from forestbuilder.cli import _FAMILIES, run
 from forestbuilder.distribution import format_fraction
 from forestbuilder.engine import forest_polynomial
-from forestbuilder.families import GeneratorSpec, generate
 from forestbuilder.graph6 import parse_graph6
 
 
@@ -39,11 +39,17 @@ def test_poly_closed_method_counts_vertices(capsys):
     # --n is the vertex count here: a 6-vertex path has 5 edges
     out = _ok(capsys, ["poly", "--family", "path", "--n", "6", "--method", "closed"])
     assert json.loads(out)["probs"] == {"1": "2/15", "2": "11/15", "3": "2/15"}
+    out = _ok(capsys, ["poly", "--method", "closed", "--family", "kn", "--n", "5"])
+    assert out == _ok(capsys, ["closed", "kn", "--n", "5"])
 
 
 def test_poly_closed_method_rejects_other_families(capsys):
     assert run(["poly", "--family", "cycle", "--n", "5", "--method", "closed"]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert run(["poly", "--family", "path", "--n", "1", "--method", "closed"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: closed path polynomial needs --n >= 2 vertices\n"
+    )
 
 
 def test_poly_from_edge_list_file(capsys, tmp_path):
@@ -108,6 +114,9 @@ def test_seeded_outputs_are_pinned(capsys):
     out = _ok(capsys, ["gnm-sim", "--n", "6", "--m", "7", "--graph-samples", "5",
                        "--orderings", "10", "--seed", "1"])
     assert out == '{"mean": 1.72, "stderr": 0.07504665215717495}\n'
+    out = _ok(capsys, ["gnm-sim", "--n", "6", "--m", "7", "--graph-samples", "5",
+                       "--orderings", "10", "--seed", "1", "--format", "text"])
+    assert out == "mean 1.72\nstderr 0.07504665215717495\n"
     out = _ok(capsys, ["decay", "--d", "3", "--n-values", "6,8", "--trials", "200",
                        "--seed", "3", "--format", "csv"])
     assert out == (
@@ -146,6 +155,14 @@ def test_search_pairs_and_empty_outputs(capsys):
     assert _ok(capsys, ["search", "twins", "--n", "4"]) == ""
     assert _ok(capsys, ["search", "trees", "--n", "7"]) == ""
     assert _ok(capsys, ["search", "logconcave", "--max-n", "4"]) == ""
+
+
+def test_search_twins_prints_the_pinned_twins(capsys, edge_degree_twins_6):
+    out = _ok(capsys, ["search", "twins", "--n", "6"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["graph6_a"], r["graph6_b"], r["expected_components"]) for r in rows] == [
+        (a, b, format_fraction(e)) for a, b, e in edge_degree_twins_6
+    ]
 
 
 def test_search_requires_size_flags(capsys):
@@ -210,23 +227,23 @@ def test_verbose_notes_go_to_stderr(capsys):
     assert "connected classes" not in captured.out
 
 
-def test_every_family_builds_its_generator_spec(capsys):
+def test_every_family_builds_its_constructor_graph(capsys):
     cases = {
-        "kn": (["--n", "5"], GeneratorSpec("complete", (5,))),
-        "kst": (["--s", "2", "--t", "3"], GeneratorSpec("complete_bipartite", (2, 3))),
-        "multipartite": (["--parts", "2,2,3"], GeneratorSpec("complete_multipartite", (2, 2, 3))),
-        "path": (["--n", "6"], GeneratorSpec("path", (6,))),
-        "cycle": (["--n", "7"], GeneratorSpec("cycle", (7,))),
-        "star": (["--n", "4"], GeneratorSpec("star", (4,))),
-        "plus-edge": (["--k", "3"], GeneratorSpec("bipartite_plus_edge", (3,))),
-        "gnm": (["--n", "7", "--m", "10", "--graph-seed", "5"], GeneratorSpec("gnm", (7, 10), 5)),
+        "kn": (["--n", "5"], families.complete_graph(5)),
+        "kst": (["--s", "2", "--t", "3"], families.complete_bipartite(2, 3)),
+        "multipartite": (["--parts", "2,2,3"], families.complete_multipartite((2, 2, 3))),
+        "path": (["--n", "6"], families.path_graph(6)),
+        "cycle": (["--n", "7"], families.cycle_graph(7)),
+        "star": (["--n", "4"], families.star_graph(4)),
+        "plus-edge": (["--k", "3"], families.balanced_bipartite_plus_edge(3)),
+        "gnm": (["--n", "7", "--m", "10", "--graph-seed", "5"], families.gnm_random_graph(7, 10, 5)),
         "regular": (["--n", "8", "--d", "3", "--graph-seed", "2"],
-                    GeneratorSpec("random_regular", (8, 3), 2)),
+                    families.random_regular_graph(8, 3, 2)),
     }
     assert sorted(cases) == sorted(_FAMILIES)
-    for family, (flags, spec) in cases.items():
+    for family, (flags, graph) in cases.items():
         out = _ok(capsys, ["poly", "--family", family, *flags, "--format", "text"])
-        dist = forest_polynomial(generate(spec))
+        dist = forest_polynomial(graph)
         assert out == "".join(f"{k} {format_fraction(p)}\n" for k, p in sorted(dist.probs.items()))
 
 

@@ -1,4 +1,4 @@
-"""Process runner, brute-force oracle, and the memoized recurrence engine."""
+"""Process runner, brute-force oracle, and the exact evaluator PolynomialEngine."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -245,6 +245,14 @@ def test_memoization_controls():
     tight = PolynomialEngine(max_memo_entries=2)
     with pytest.raises(MemoryBudgetExceeded):
         tight.distribution(complete_graph(5))
+    # the law cache holds at most max_memo_entries labelled components
+    full = PolynomialEngine(max_memo_entries=3)
+    paths = [Graph(3, ((0, 1), (1, 2))), Graph(3, ((0, 1), (0, 2))), Graph(3, ((0, 2), (1, 2)))]
+    laws = [full.distribution(g).probs for g in paths]
+    with pytest.raises(MemoryBudgetExceeded) as caught:
+        full.distribution(Graph(2, ((0, 1),)))
+    assert str(caught.value) == "memo budget of 3 entries exhausted"
+    assert full.distribution(paths[0]).probs == laws[0]
 
 
 @pytest.mark.parametrize(

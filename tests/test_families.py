@@ -5,13 +5,11 @@ import pytest
 from forestbuilder.canon import canonical_key
 from forestbuilder.errors import InfeasibleSpec
 from forestbuilder.families import (
-    GeneratorSpec,
     balanced_bipartite_plus_edge,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    generate,
     gnm_random_graph,
     path_graph,
     random_regular_graph,
@@ -97,23 +95,3 @@ def test_random_regular():
         random_regular_graph(5, 3, seed=0)  # odd degree sum
     with pytest.raises(InfeasibleSpec):
         random_regular_graph(4, 4, seed=0)  # d >= n
-
-
-def test_generate_dispatch():
-    cases = [
-        (GeneratorSpec("complete", (4,)), complete_graph(4)),
-        (GeneratorSpec("complete_bipartite", (2, 3)), complete_bipartite(2, 3)),
-        (GeneratorSpec("complete_multipartite", (3, 3, 3)), complete_multipartite((3, 3, 3))),
-        (GeneratorSpec("path", (4,)), path_graph(4)),
-        (GeneratorSpec("cycle", (5,)), cycle_graph(5)),
-        (GeneratorSpec("star", (3,)), star_graph(3)),
-        (GeneratorSpec("bipartite_plus_edge", (2,)), balanced_bipartite_plus_edge(2)),
-        (GeneratorSpec("gnm", (5, 4), seed=7), gnm_random_graph(5, 4, 7)),
-        (GeneratorSpec("random_regular", (8, 3), seed=1), random_regular_graph(8, 3, 1)),
-    ]
-    for spec, expected in cases:
-        assert generate(spec) == expected
-    with pytest.raises(InfeasibleSpec):
-        generate(GeneratorSpec("gnm", (5, 4)))  # seed required
-    with pytest.raises(InfeasibleSpec):
-        generate(GeneratorSpec("mystery", (1,)))

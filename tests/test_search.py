@@ -304,26 +304,9 @@ def test_edge_degree_twins(engine):
     assert Fraction(17, 10) in {tw.expected_components for tw in twins}
 
 
-def test_edge_degree_twins_pinned(engine):
-    # pinned from the output of the search while its keys were bytes
-    expected = [
-        ("EsWO", "E{CG", Fraction(23, 12)),
-        ("EsX?", "E{CO", Fraction(17, 10)),
-        ("EsXO", "E{CW", Fraction(28, 15)),
-        ("EsXO", "E{OW", Fraction(28, 15)),
-        ("E{CW", "E{OW", Fraction(28, 15)),
-        ("Es\\?", "E{SO", Fraction(26, 15)),
-        ("E}Gg", "E}_g", Fraction(53, 30)),
-        ("Es\\_", "E{SW", Fraction(9, 5)),
-        ("Es\\_", "E{So", Fraction(9, 5)),
-        ("E{SW", "E{So", Fraction(9, 5)),
-        ("E}hO", "E}oo", Fraction(359, 210)),
-        ("E}Kg", "E}_w", Fraction(7, 4)),
-        ("Es\\o", "E{Sw", Fraction(9, 5)),
-        ("E}hW", "E}ow", Fraction(61, 35)),
-    ]
+def test_edge_degree_twins_pinned(engine, edge_degree_twins_6):
     twins = find_edge_degree_twins(6, engine)
-    assert [(t.graph6_a, t.graph6_b, t.expected_components) for t in twins] == expected
+    assert [(t.graph6_a, t.graph6_b, t.expected_components) for t in twins] == edge_degree_twins_6
 
 
 def test_conjecture_small_cases(engine):
