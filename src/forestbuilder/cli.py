@@ -9,8 +9,11 @@ identical invocations produce byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import closedforms, families, montecarlo, search
@@ -119,18 +122,41 @@ def _graph_from_args(ns: argparse.Namespace) -> Graph:
     return _family_graph(ns)
 
 
+def _json(value) -> str:
+    """One JSON line; every JSON output goes through here.
+
+    Rationals become "num/den", a dict is written with its keys sorted and
+    made strings (so probs and counts run in numeric order), a dataclass
+    becomes its fields in declaration order, and any other value is
+    written as json writes it.
+    """
+
+    def plain(v):
+        if isinstance(v, Fraction):
+            return format_fraction(v)
+        if isinstance(v, float) and math.isinf(v):
+            return None  # JSON has no infinity: a decay row with p1_hat 0 writes null
+        if isinstance(v, dict):
+            return {str(k): plain(v[k]) for k in sorted(v)}
+        if dataclasses.is_dataclass(v):
+            return {f.name: plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
+        return v
+
+    return json.dumps(plain(value))
+
+
 def _distribution_output(dist: ForestDistribution, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(
             f"{k} {format_fraction(dist.probs[k])}" for k in sorted(dist.probs)
         )
-    return json.dumps(dist.to_json_dict())
+    return _json(dist)
 
 
-def _value_output(value, fmt: str) -> str:
+def _value_output(value: Fraction, fmt: str) -> str:
     if fmt == "text":
         return format_fraction(value)
-    return json.dumps({"value": format_fraction(value)})
+    return _json({"value": value})
 
 
 # --- subcommand handlers ---
@@ -190,7 +216,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> str:
         lines.append(f"mean {est.mean_kappa!r}")
         lines.append(f"stderr {est.stderr_kappa!r}")
         return "\n".join(lines)
-    return json.dumps(est.to_json_dict())
+    return _json(est)
 
 
 def _cmd_gnm_sim(ns: argparse.Namespace) -> str:
@@ -199,15 +225,24 @@ def _cmd_gnm_sim(ns: argparse.Namespace) -> str:
     )
     if ns.format == "text":
         return f"mean {mean!r}\nstderr {stderr!r}"
-    return json.dumps({"mean": mean, "stderr": stderr})
+    return _json({"mean": mean, "stderr": stderr})
+
+
+def _decay_csv(rows: list[montecarlo.DecayRow]) -> str:
+    """Header plus one line per row; an unknown Cheeger value is left blank."""
+    lines = ["n,p1_hat,neg_log_p1_over_n,cheeger"]
+    for row in rows:
+        cheeger = "" if row.cheeger is None else format_fraction(row.cheeger)
+        lines.append(f"{row.n},{row.p1_hat!r},{row.neg_log_p1_over_n!r},{cheeger}")
+    return "\n".join(lines)
 
 
 def _cmd_decay(ns: argparse.Namespace) -> str:
     n_values = _parse_int_list(ns.n_values, "--n-values")
     rows = montecarlo.single_component_decay(ns.d, n_values, ns.trials, ns.seed)
     if ns.format == "csv":
-        return montecarlo.decay_rows_to_csv(rows)
-    return "\n".join(json.dumps(row.to_json_dict()) for row in rows)
+        return _decay_csv(rows)
+    return "\n".join(_json(row) for row in rows)
 
 
 # search -> report finder taking --n
@@ -225,18 +260,16 @@ def _cmd_search(ns: argparse.Namespace) -> str:
         raise _UsageError(f"{context} does not take --{unused}")
     if ns.what == "logconcave":
         violations = search.sweep_log_concavity(*_required(ns, context, "max-n"))
-        return "\n".join(
-            json.dumps({"graph6": serialize_graph6(g)}) for g in violations
-        )
+        return "\n".join(_json({"graph6": serialize_graph6(g)}) for g in violations)
     reports = _PAIR_SEARCHES[ns.what](*_required(ns, context, "n"))
-    return "\n".join(json.dumps(r.to_json_dict()) for r in reports)
+    return "\n".join(_json(r) for r in reports)
 
 
 def _cmd_conjecture(ns: argparse.Namespace) -> str:
     report = search.check_conjecture(ns.k)
     if ns.format == "text":
         return "holds" if report.holds else "differs"
-    return json.dumps(report.to_json_dict())
+    return _json(report)
 
 
 def _cmd_table(ns: argparse.Namespace) -> str:
@@ -255,9 +288,7 @@ def _cmd_table(ns: argparse.Namespace) -> str:
             print(f"n={n}: {len(graphs)} {label}", file=sys.stderr)
         for g in graphs:
             dist = forest_polynomial(g)
-            lines.append(json.dumps(
-                {"graph6": serialize_graph6(g), "polynomial": dist.to_json_dict()}
-            ))
+            lines.append(_json({"graph6": serialize_graph6(g), "polynomial": dist}))
     return "\n".join(lines)
 
 
@@ -353,7 +384,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if output:
-        print(output if not output.endswith("\n") else output[:-1])
+        print(output)
     return 0
 
 

@@ -53,29 +53,27 @@ def bipartite_distribution(s: int, t: int) -> ForestDistribution:
     return ForestDistribution(s + t, s * t, probs)
 
 
+def _check_q_args(s: int, t: int, a: int, b: int, l: int) -> None:
+    """The domain of Q_{s,t}(a,b,l); l = -1 is in it and gives 0 via _comb0."""
+    if s < 1 or t < 1 or not 0 <= a <= s or not 0 <= b <= t:
+        raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
+    if l < -1:
+        raise ParameterOutOfRange("l >= -1 required")
+
+
 def bipartite_q(s: int, t: int, a: int, b: int, l: int) -> Fraction:
     """Recurrence solution Q_{s,t}(a,b,l) = C(b,l)C(s+t-b-1,a-l)/C(s+t-1,a).
 
     Boundary values: Q(a,0,l) = Q(0,b,l) = [l = 0], and l = -1 gives 0 by
     convention.  The full-size value Q(s,t,s,t,k) equals P(K_{s,t}, k).
     """
-    if s < 1 or t < 1 or not 0 <= a <= s or not 0 <= b <= t:
-        raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
-    if l < -1:
-        raise ParameterOutOfRange("l >= -1 required")
-    if l == -1:
-        return Fraction(0)
+    _check_q_args(s, t, a, b, l)
     return Fraction(_comb0(b, l) * _comb0(s + t - b - 1, a - l), comb(s + t - 1, a))
 
 
 def bipartite_q_alt(s: int, t: int, a: int, b: int, l: int) -> Fraction:
     """The symmetric form C(a,l)C(s+t-a-1,b-l)/C(s+t-1,b) of bipartite_q."""
-    if s < 1 or t < 1 or not 0 <= a <= s or not 0 <= b <= t:
-        raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
-    if l < -1:
-        raise ParameterOutOfRange("l >= -1 required")
-    if l == -1:
-        return Fraction(0)
+    _check_q_args(s, t, a, b, l)
     return Fraction(_comb0(a, l) * _comb0(s + t - a - 1, b - l), comb(s + t - 1, b))
 
 

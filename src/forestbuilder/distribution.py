@@ -1,9 +1,10 @@
-"""Exact component-count distributions and their serialization.
+"""Exact component-count distributions and the "num/den" rational text.
 
 A ForestDistribution records, for one graph, the probability that the
 forest-building process ends with k components, as exact rationals.  The
 generating polynomial view is the same data: probs[k] is the coefficient
-of x^k.
+of x^k.  The JSON and text output formats live in `cli`, the one module
+that writes output.
 """
 
 from __future__ import annotations
@@ -61,15 +62,3 @@ class ForestDistribution:
     def same_polynomial(self, other: "ForestDistribution") -> bool:
         """Coefficient equality; ignores n and m metadata."""
         return self.probs == other.probs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "probs": {str(k): format_fraction(self.probs[k]) for k in sorted(self.probs)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ForestDistribution":
-        probs = {int(k): parse_fraction(v) for k, v in data["probs"].items()}
-        return cls(int(data["n"]), int(data["m"]), probs)

@@ -84,10 +84,17 @@ def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     total = comb(n, 2)
     if not 0 <= m <= total:
         raise InfeasibleSpec(f"gnm needs 0 <= m <= {total}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = SplitMix64(derive_seed(seed, 0x6E6D))
-    chosen = sorted(rng.sample(total, m))
-    return Graph(n, tuple(pairs[i] for i in chosen))
+    # index q names the q-th pair (i, j), i < j, in row-major order; one pass
+    # over the rows maps the sorted indices, so memory stays O(m), not O(n^2)
+    edges = []
+    row, row_start = 0, 0  # pairs (row, *) have indices row_start .. row_start + n - 2 - row
+    for q in sorted(rng.sample(total, m)):
+        while q >= row_start + n - 1 - row:
+            row_start += n - 1 - row
+            row += 1
+        edges.append((row, row + 1 + q - row_start))
+    return Graph(n, tuple(edges))
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .distribution import format_fraction
 from .engine import _scan
 from .errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
@@ -26,19 +25,10 @@ class EstimatedDistribution:
     """Empirical law of the component count over seeded trials."""
 
     trials: int
+    seed: int
     counts: dict[int, int]
     mean_kappa: float
     stderr_kappa: float
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "counts": {str(k): self.counts[k] for k in sorted(self.counts)},
-            "mean_kappa": self.mean_kappa,
-            "stderr_kappa": self.stderr_kappa,
-        }
 
 
 def _trial_kappa(edges: tuple[tuple[int, int], ...], n: int, rng: SplitMix64) -> int:
@@ -66,7 +56,7 @@ def estimate_distribution(g: Graph, trials: int, seed: int) -> EstimatedDistribu
         kappa = _trial_kappa(g.edges, g.n, SplitMix64(derive_seed(seed, t)))
         counts[kappa] = counts.get(kappa, 0) + 1
     mean, stderr = _moments(counts, trials)
-    return EstimatedDistribution(trials, counts, mean, stderr, seed)
+    return EstimatedDistribution(trials, seed, counts, mean, stderr)
 
 
 def estimate_gnm_expectation(
@@ -99,16 +89,6 @@ class DecayRow:
     neg_log_p1_over_n: float
     cheeger: Fraction | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p1_hat": self.p1_hat,
-            # JSON has no infinity: a row with p1_hat 0 writes null
-            "neg_log_p1_over_n": None if math.isinf(self.neg_log_p1_over_n) else
-            self.neg_log_p1_over_n,
-            "cheeger": None if self.cheeger is None else format_fraction(self.cheeger),
-        }
-
 
 def single_component_decay(
     d: int, n_values: list[int], trials: int, seed: int
@@ -138,11 +118,3 @@ def single_component_decay(
         cheeger = cheeger_constant(g) if n <= CHEEGER_VERTEX_CAP else None
         rows.append(DecayRow(n, p1, rate, cheeger))
     return rows
-
-
-def decay_rows_to_csv(rows: list[DecayRow]) -> str:
-    lines = ["n,p1_hat,neg_log_p1_over_n,cheeger"]
-    for row in rows:
-        cheeger = "" if row.cheeger is None else format_fraction(row.cheeger)
-        lines.append(f"{row.n},{row.p1_hat!r},{row.neg_log_p1_over_n!r},{cheeger}")
-    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .canon import _is_lexmax, canonical_key, is_edge_transitive
-from .distribution import ForestDistribution, format_fraction
+from .distribution import ForestDistribution
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
 from .families import balanced_bipartite_plus_edge, complete_bipartite
@@ -108,14 +108,6 @@ class PairReport:
     shared_polynomial: ForestDistribution
     explained_by_corollary4: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6_a": self.graph6_a,
-            "graph6_b": self.graph6_b,
-            "shared_polynomial": self.shared_polynomial.to_json_dict(),
-            "explained_by_corollary4": self.explained_by_corollary4,
-        }
-
 
 @dataclass(frozen=True)
 class TwinReport:
@@ -127,15 +119,6 @@ class TwinReport:
     polynomial_a: ForestDistribution
     polynomial_b: ForestDistribution
 
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6_a": self.graph6_a,
-            "graph6_b": self.graph6_b,
-            "expected_components": format_fraction(self.expected_components),
-            "polynomial_a": self.polynomial_a.to_json_dict(),
-            "polynomial_b": self.polynomial_b.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ConjectureReport:
@@ -145,14 +128,6 @@ class ConjectureReport:
     holds: bool
     plus_edge_polynomial: ForestDistribution
     bipartite_polynomial: ForestDistribution
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "holds": self.holds,
-            "plus_edge_polynomial": self.plus_edge_polynomial.to_json_dict(),
-            "bipartite_polynomial": self.bipartite_polynomial.to_json_dict(),
-        }
 
 
 def _corollary4_explains(a: Graph, b: Graph) -> bool:

@@ -7,6 +7,7 @@ from forestbuilder.cli import _FAMILIES, run
 from forestbuilder.distribution import format_fraction
 from forestbuilder.engine import forest_polynomial
 from forestbuilder.graph6 import parse_graph6
+from forestbuilder.montecarlo import single_component_decay
 
 
 def _ok(capsys, argv):
@@ -60,8 +61,7 @@ def test_poly_from_edge_list_file(capsys, tmp_path):
 
 
 def test_expect_and_one_comp_and_cheeger(capsys):
-    out = _ok(capsys, ["expect", "--family", "kn", "--n", "4"])
-    assert json.loads(out) == {"value": "6/5"}
+    assert _ok(capsys, ["expect", "--family", "kn", "--n", "4"]) == '{"value": "6/5"}\n'
     out = _ok(capsys, ["expect", "--family", "kn", "--n", "4", "--format", "text"])
     assert out == "6/5\n"
     out = _ok(capsys, ["one-comp", "--g6", "C~", "--format", "text"])
@@ -111,6 +111,13 @@ def test_seeded_outputs_are_pinned(capsys):
     out = _ok(capsys, ["simulate", "--family", "kn", "--n", "4", "--trials", "200",
                        "--seed", "7", "--format", "text"])
     assert out == "1 166\n2 34\nmean 1.17\nstderr 0.026561249970586873\n"
+    # exact JSON bytes, not json.loads: fields in declaration order, counts in key order
+    out = _ok(capsys, ["simulate", "--family", "kn", "--n", "4", "--trials", "200",
+                       "--seed", "7"])
+    assert out == (
+        '{"trials": 200, "seed": 7, "counts": {"1": 166, "2": 34}, '
+        '"mean_kappa": 1.17, "stderr_kappa": 0.026561249970586873}\n'
+    )
     out = _ok(capsys, ["gnm-sim", "--n", "6", "--m", "7", "--graph-samples", "5",
                        "--orderings", "10", "--seed", "1"])
     assert out == '{"mean": 1.72, "stderr": 0.07504665215717495}\n'
@@ -126,6 +133,19 @@ def test_seeded_outputs_are_pinned(capsys):
     )
 
 
+def test_poly_json_keys_run_in_numeric_order(capsys):
+    # eleven terms: string order would put "10" and "11" before "2"
+    out = _ok(capsys, ["poly", "--family", "path", "--n", "22", "--method", "closed"])
+    assert out == (
+        '{"n": 22, "m": 21, "probs": {"1": "4/194896477400625", '
+        '"2": "419422/38979295480125", "3": "633484/47593767375", '
+        '"4": "16675245148/12993098493375", "5": "6913638092/265165275375", '
+        '"6": "72400911257/441942125625", "7": "694829440808/1856156927625", '
+        '"8": "4220088438688/12993098493375", "9": "436158357364/4331032831125", '
+        '"10": "49399835278/5568470782875", "11": "18888466084/194896477400625"}}\n'
+    )
+
+
 def test_gnm_sim_deterministic(capsys):
     argv = ["gnm-sim", "--n", "4", "--m", "3", "--graph-samples", "5",
             "--orderings", "10", "--seed", "1"]
@@ -136,14 +156,24 @@ def test_gnm_sim_deterministic(capsys):
 
 
 def test_decay_json_and_csv(capsys):
-    argv = ["decay", "--d", "2", "--n-values", "5", "--trials", "50", "--seed", "3"]
-    row = json.loads(_ok(capsys, argv))
-    assert row["n"] == 5 and row["cheeger"] == "1/2"
-    assert 0 < row["p1_hat"] < 1
+    # n = 22 has no one-component hit and is past the Cheeger cap: null in
+    # JSON, "inf" and a blank in CSV
+    argv = ["decay", "--d", "2", "--n-values", "5,22", "--trials", "50", "--seed", "3"]
+    assert _ok(capsys, argv) == (
+        '{"n": 5, "p1_hat": 0.28, "neg_log_p1_over_n": 0.2545931351625775, "cheeger": "1/2"}\n'
+        '{"n": 22, "p1_hat": 0.0, "neg_log_p1_over_n": null, "cheeger": null}\n'
+    )
     csv_out = _ok(capsys, argv + ["--format", "csv"])
-    lines = csv_out.splitlines()
-    assert lines[0] == "n,p1_hat,neg_log_p1_over_n,cheeger"
-    assert lines[1].startswith("5,") and lines[1].endswith(",1/2")
+    assert csv_out == (
+        "n,p1_hat,neg_log_p1_over_n,cheeger\n"
+        "5,0.28,0.2545931351625775,1/2\n"
+        "22,0.0,inf,\n"
+    )
+    # the CSV floats read back as the rows' own values
+    rows = single_component_decay(2, [5, 22], 50, seed=3)
+    for row, line in zip(rows, csv_out.splitlines()[1:]):
+        n, p1_hat, rate, _ = line.split(",")
+        assert (int(n), float(p1_hat), float(rate)) == (row.n, row.p1_hat, row.neg_log_p1_over_n)
 
 
 def test_search_pairs_and_empty_outputs(capsys):
@@ -152,6 +182,11 @@ def test_search_pairs_and_empty_outputs(capsys):
     assert [(r["graph6_a"], r["graph6_b"]) for r in lines] == [
         ("Cq", "Cr"), ("C}", "C~")
     ]
+    assert _ok(capsys, ["search", "pairs", "--n", "3"]) == (
+        '{"graph6_a": "Bo", "graph6_b": "Bw", '
+        '"shared_polynomial": {"n": 3, "m": 2, "probs": {"1": "1/1"}}, '
+        '"explained_by_corollary4": true}\n'
+    )
     assert _ok(capsys, ["search", "twins", "--n", "4"]) == ""
     assert _ok(capsys, ["search", "trees", "--n", "7"]) == ""
     assert _ok(capsys, ["search", "logconcave", "--max-n", "4"]) == ""
@@ -184,12 +219,19 @@ def test_search_prints_json_only(capsys):
 
 
 def test_conjecture_output(capsys):
-    payload = json.loads(_ok(capsys, ["conjecture", "--k", "2"]))
-    assert payload["k"] == 2 and payload["holds"] is True
+    assert _ok(capsys, ["conjecture", "--k", "2"]) == (
+        '{"k": 2, "holds": true, '
+        '"plus_edge_polynomial": {"n": 5, "m": 7, "probs": {"1": "1/2", "2": "1/2"}}, '
+        '"bipartite_polynomial": {"n": 5, "m": 6, "probs": {"1": "1/2", "2": "1/2"}}}\n'
+    )
     assert _ok(capsys, ["conjecture", "--k", "2", "--format", "text"]) == "holds\n"
 
 
 def test_table_outputs(capsys):
+    assert _ok(capsys, ["table", "trees", "--max-n", "3"]) == (
+        '{"graph6": "A_", "polynomial": {"n": 2, "m": 1, "probs": {"1": "1/1"}}}\n'
+        '{"graph6": "Bo", "polynomial": {"n": 3, "m": 2, "probs": {"1": "1/1"}}}\n'
+    )
     out = _ok(capsys, ["table", "trees", "--max-n", "4"])
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 4

@@ -73,6 +73,7 @@ def test_q_boundary_and_conventions():
                 for l in range(3):
                     assert bipartite_q(s, t, 0, b, l) == (1 if l == 0 else 0)
             assert bipartite_q(s, t, s, t, -1) == 0
+            assert bipartite_q_alt(s, t, s, t, -1) == 0
             assert bipartite_q(s, t, s, t, 0) == bipartite_q_alt(s, t, s, t, 0)
 
 
@@ -83,10 +84,12 @@ def test_q_rejects_out_of_range_arguments():
         bipartite_q(2, 2, 2, -1, 1)
     with pytest.raises(ParameterOutOfRange):
         bipartite_q(0, 2, 0, 2, 1)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="l >= -1 required"):
         bipartite_q(2, 2, 2, 2, -2)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="0 <= b <= t"):
         bipartite_q_alt(2, 2, 2, 3, 1)
+    with pytest.raises(ParameterOutOfRange, match="l >= -1 required"):
+        bipartite_q_alt(2, 2, 2, 2, -2)
 
 
 def test_expectation_formulas():

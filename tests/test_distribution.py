@@ -44,13 +44,3 @@ def test_same_polynomial_ignores_metadata():
     b = ForestDistribution(4, 3, {1: Fraction(2, 3), 2: Fraction(1, 3)})
     assert a.same_polynomial(b)
     assert not a.same_polynomial(ForestDistribution(4, 3, {1: Fraction(1)}))
-
-
-def test_json_round_trip_with_numeric_key_order():
-    probs = {k: Fraction(1, 11) for k in range(1, 12)}
-    d = ForestDistribution(22, 21, probs)
-    data = d.to_json_dict()
-    assert data["n"] == 22 and data["m"] == 21
-    assert list(data["probs"]) == [str(k) for k in range(1, 12)]
-    assert data["probs"]["1"] == "1/11"
-    assert ForestDistribution.from_json_dict(data) == d

@@ -1,5 +1,8 @@
 """Graph family generators, deterministic and seeded."""
 
+import tracemalloc
+from math import comb
+
 import pytest
 
 from forestbuilder.canon import canonical_key
@@ -15,6 +18,7 @@ from forestbuilder.families import (
     random_regular_graph,
     star_graph,
 )
+from forestbuilder.rng import SplitMix64, derive_seed
 
 
 def test_complete_graph():
@@ -84,6 +88,28 @@ def test_gnm_deterministic_and_valid():
     assert gnm_random_graph(5, 0, seed=3).m == 0
     with pytest.raises(InfeasibleSpec):
         gnm_random_graph(4, 7, seed=0)
+
+
+def test_gnm_maps_drawn_indices_to_row_major_pairs():
+    # the drawn indices name pairs in the order this list has them
+    for n in range(1, 10):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for m in range(comb(n, 2) + 1):
+            for seed in range(3):
+                chosen = sorted(SplitMix64(derive_seed(seed, 0x6E6D)).sample(len(pairs), m))
+                assert gnm_random_graph(n, m, seed).edges == tuple(pairs[q] for q in chosen)
+
+
+def test_gnm_memory_follows_the_edge_count_not_the_pair_count():
+    # C(3000, 2) is about 4.5 million pairs; listing them costs hundreds of MB
+    tracemalloc.start()
+    try:
+        g = gnm_random_graph(3000, 10, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 10
+    assert peak < 100_000
 
 
 def test_random_regular():

@@ -18,7 +18,6 @@ from forestbuilder.families import (
 )
 from forestbuilder.graphs import Graph
 from forestbuilder.montecarlo import (
-    decay_rows_to_csv,
     estimate_distribution,
     estimate_gnm_expectation,
     single_component_decay,
@@ -93,15 +92,6 @@ def test_estimate_distribution_rejects_bad_input():
         estimate_distribution(complete_graph(3), 0, seed=0)
 
 
-def test_estimated_distribution_json_shape():
-    est = estimate_distribution(complete_graph(4), 100, seed=5)
-    payload = est.to_json_dict()
-    assert payload["trials"] == 100 and payload["seed"] == 5
-    assert list(payload["counts"]) == sorted(payload["counts"], key=int)
-    assert sum(payload["counts"].values()) == 100
-    assert payload["mean_kappa"] == est.mean_kappa
-
-
 def test_gnm_expectation_estimate_hits_forced_complete_graph():
     # m = C(4,2) leaves a single possible graph, so the target is exactly 6/5
     mean, stderr = estimate_gnm_expectation(4, 6, 40, 50, seed=9)
@@ -150,21 +140,6 @@ def test_decay_rejects_infeasible_requests():
         single_component_decay(2, [4], 0, seed=0)
 
 
-def test_decay_csv_and_json_round_trip():
-    rows = single_component_decay(2, [4], 50, seed=2)
-    text = decay_rows_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "n,p1_hat,neg_log_p1_over_n,cheeger"
-    fields = lines[1].split(",")
-    assert int(fields[0]) == 4
-    assert float(fields[1]) == rows[0].p1_hat
-    assert float(fields[2]) == rows[0].neg_log_p1_over_n
-    assert fields[3] == "1/2"
-    assert rows[0].to_json_dict()["cheeger"] == "1/2"
-
-
 def test_decay_cheeger_blank_past_exhaustive_cap():
     rows = single_component_decay(2, [22], 5, seed=1)
     assert rows[0].cheeger is None
-    assert rows[0].to_json_dict()["cheeger"] is None
-    assert decay_rows_to_csv(rows).splitlines()[1].endswith(",")
