@@ -18,11 +18,12 @@ symmetric inputs from exploding factorially:
   automorphisms that fix the placed prefix pointwise identify candidate
   vertices whose subtrees are mirror images of ones already explored.
 
-The automorphisms the search finds serve only this pruning.
-`canonical_form` relabels by the winning ordering, and `canonical_key` is
-the graph6 string of that form: the one identity of an isomorphism class,
-which `parse_graph6` turns back into the canonical form itself.  This
-exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP vertices.
+The automorphisms the search finds serve only this pruning.  The search
+returns the winning bit string itself, and `canonical_key` packs it as
+graph6 text: the one identity of an isomorphism class.  `canonical_form` is
+`parse_graph6` of that key, so the two agree by construction, edge order
+included.  This exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP
+vertices.
 `_is_lexmax` runs the same search with the identity ordering as incumbent:
 it walks only the branches tied with it and stops at the first that beats
 it.  Two facts let enumeration build lexmax forms from smaller ones:
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from .errors import SizeCapExceeded
 from .graphs import Graph
-from .graph6 import serialize_graph6
+from .graph6 import _cums, _pack, parse_graph6
 
 CANONICAL_VERTEX_CAP = 16
 
@@ -77,30 +78,22 @@ def _twin_masks(masks: list[int]) -> list[int]:
     return twins
 
 
-def _cums(masks: list[int], ordering: list[int]) -> list[int]:
-    """The graph6 bit strings of the ordering's prefixes, as integers."""
-    cums, cum = [], 0
-    for depth, v in enumerate(ordering):
-        for u in ordering[:depth]:
-            cum = (cum << 1) | ((masks[v] >> u) & 1)
-        cums.append(cum)
-    return cums
-
-
 class _Beaten(Exception):
     """A partial ordering's bits exceed those of the target ordering."""
 
 
 def _search(
     n: int, masks: list[int], target: list[int] | None = None, first: int = 0
-) -> list[int]:
-    """Return the canonical ordering: ordering[pos] is the vertex at pos.
+) -> int:
+    """Return the lexmax graph6 bit string over orderings of the vertices.
 
+    That is the whole string of the best ordering (0 when n = 0); the
+    ordering itself stays inside, where the automorphism pruning needs it.
     Given a `target` ordering, the search starts with it as the incumbent,
     so it walks only the branches tied with it, and raises `_Beaten` as
     soon as one beats it: `target` is canonical exactly when it returns.
-    Given `first`, a bitmask of two vertices, it returns the best ordering
-    that places those two first.
+    Given `first`, a bitmask of two vertices, it returns the best string
+    over the orderings that place those two first.
     The automorphisms it prunes with are twin swaps and vertex maps
     discovered at tie leaves.  Inner loops are written for speed: vertex
     sets are bitmasks where they are tested, and the one-bit-per-vertex
@@ -169,10 +162,9 @@ def _search(
             on_best = True  # incumbent now passes through this node
 
     if n == 0:
-        return []
+        return 0
     descend(0, 0, target is not None, 0)
-    assert best_perm is not None
-    return best_perm
+    return best_cums[-1]
 
 
 def _is_lexmax(g: Graph) -> bool:
@@ -184,26 +176,18 @@ def _is_lexmax(g: Graph) -> bool:
     return True
 
 
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-class representative, edges in graph6 (column-major) order.
-
-    It equals `parse_graph6(canonical_key(g))`, edge order included.
-    """
+def canonical_key(g: Graph) -> str:
+    """Complete isomorphism invariant: the lexmax bit string, packed as graph6."""
     if g.n > CANONICAL_VERTEX_CAP:
         raise SizeCapExceeded(
             f"canonical labeling cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}"
         )
-    ordering = _search(g.n, g.adjacency_masks())
-    position = [0] * g.n
-    for pos, v in enumerate(ordering):
-        position[v] = pos
-    relabeled = g.relabel(position)
-    return Graph(g.n, tuple(sorted(relabeled.edges, key=lambda e: (e[1], e[0]))))
+    return _pack(g.n, _search(g.n, g.adjacency_masks()))
 
 
-def canonical_key(g: Graph) -> str:
-    """Complete isomorphism invariant: the graph6 string of the canonical form."""
-    return serialize_graph6(canonical_form(g))
+def canonical_form(g: Graph) -> Graph:
+    """Isomorphism-class representative, edges in graph6 (column-major) order."""
+    return parse_graph6(canonical_key(g))
 
 
 def is_edge_transitive(g: Graph) -> bool:
@@ -216,6 +200,6 @@ def is_edge_transitive(g: Graph) -> bool:
     if g.n > CANONICAL_VERTEX_CAP:
         raise SizeCapExceeded(f"automorphism cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}")
     masks = g.adjacency_masks()
-    strings = (_cums(masks, _search(g.n, masks, first=1 << u | 1 << v))[-1] for u, v in g.edges)
+    strings = (_search(g.n, masks, first=1 << u | 1 << v) for u, v in g.edges)
     head = next(strings, None)
     return all(string == head for string in strings)

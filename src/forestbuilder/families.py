@@ -84,6 +84,8 @@ def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     total = comb(n, 2)
     if not 0 <= m <= total:
         raise InfeasibleSpec(f"gnm needs 0 <= m <= {total}")
+    if total > 1 << 64:
+        raise InfeasibleSpec(f"gnm draws one of at most 2**64 vertex pairs, got C({n}, 2)")
     rng = SplitMix64(derive_seed(seed, 0x6E6D))
     # index q names the q-th pair (i, j), i < j, in row-major order; one pass
     # over the rows maps the sorted indices, so memory stays O(m), not O(n^2)

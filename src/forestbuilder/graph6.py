@@ -3,6 +3,10 @@
 Layout: one header byte (n + 63), then the upper triangle of the adjacency
 matrix in column-major order (pairs (0,1), (0,2), (1,2), (0,3), ...) packed
 into 6-bit groups, each group offset by 63.  The final group is zero-padded.
+
+`_cums` reads the bits under any vertex ordering and `_pack` writes a bit
+string as text: `serialize_graph6` packs the identity ordering's string,
+and `canon.canonical_key` the lexmax one's.
 """
 
 from __future__ import annotations
@@ -13,25 +17,31 @@ from .graphs import Graph
 _MAX_N = 62
 
 
+def _cums(masks: list[int], ordering: list[int]) -> list[int]:
+    """The graph6 bit strings of the ordering's prefixes, as integers."""
+    cums, cum = [], 0
+    for depth, v in enumerate(ordering):
+        mv = masks[v]
+        for u in ordering[:depth]:
+            cum = (cum << 1) | ((mv >> u) & 1)
+        cums.append(cum)
+    return cums
+
+
+def _pack(n: int, bits: int) -> str:
+    """The graph6 text of n vertices whose C(n, 2) pair bits are `bits`."""
+    nbits = n * (n - 1) // 2
+    width = -(-nbits // 6) * 6
+    bits <<= width - nbits
+    groups = [chr((bits >> shift & 63) + 63) for shift in range(width - 6, -1, -6)]
+    return chr(n + 63) + "".join(groups)
+
+
 def serialize_graph6(g: Graph) -> str:
     if g.n > _MAX_N:
         raise UnsupportedSize(f"graph6 short form caps at {_MAX_N} vertices")
-    adjacency = g.adjacency_masks()
-    out = [chr(g.n + 63)]
-    group = 0
-    filled = 0
-    for j in range(1, g.n):
-        col = adjacency[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    bits = _cums(g.adjacency_masks(), list(range(g.n)))[-1] if g.n else 0
+    return _pack(g.n, bits)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -9,6 +9,7 @@ aggregated as exact integers before any division.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -31,11 +32,14 @@ class EstimatedDistribution:
     stderr_kappa: float
 
 
-def _trial_kappa(edges: tuple[tuple[int, int], ...], n: int, rng: SplitMix64) -> int:
-    """One process run under a fresh uniform ordering."""
-    order = list(range(len(edges)))
-    rng.shuffle(order)
-    return _scan(edges, n, order)[1]
+def _tally(g: Graph, seeds: Iterable[int], counts: dict[int, int]) -> None:
+    """Count kappa over one process run per seed, each shuffling range(m) afresh."""
+    edges, n, m = g.edges, g.n, g.m
+    for seed in seeds:
+        order = list(range(m))
+        SplitMix64(seed).shuffle(order)
+        kappa = _scan(edges, n, order)[1]
+        counts[kappa] = counts.get(kappa, 0) + 1
 
 
 def _moments(counts: dict[int, int], trials: int) -> tuple[float, float]:
@@ -52,9 +56,7 @@ def estimate_distribution(g: Graph, trials: int, seed: int) -> EstimatedDistribu
     if trials < 1:
         raise ParameterOutOfRange("needs trials >= 1")
     counts: dict[int, int] = {}
-    for t in range(trials):
-        kappa = _trial_kappa(g.edges, g.n, SplitMix64(derive_seed(seed, t)))
-        counts[kappa] = counts.get(kappa, 0) + 1
+    _tally(g, (derive_seed(seed, t) for t in range(trials)), counts)
     mean, stderr = _moments(counts, trials)
     return EstimatedDistribution(trials, seed, counts, mean, stderr)
 
@@ -74,9 +76,7 @@ def estimate_gnm_expectation(
     counts: dict[int, int] = {}
     for i in range(graph_samples):
         g = gnm_random_graph(n, m, derive_seed(seed, i, 0))
-        for j in range(orderings_per_graph):
-            kappa = _trial_kappa(g.edges, g.n, SplitMix64(derive_seed(seed, i, j + 1)))
-            counts[kappa] = counts.get(kappa, 0) + 1
+        _tally(g, (derive_seed(seed, i, j + 1) for j in range(orderings_per_graph)), counts)
     return _moments(counts, graph_samples * orderings_per_graph)
 
 
@@ -108,13 +108,11 @@ def single_component_decay(
     rows = []
     for idx, n in enumerate(n_values):
         g = random_regular_graph(n, d, derive_seed(seed, idx))
-        ones = 0
-        for t in range(trials):
-            kappa = _trial_kappa(g.edges, g.n, SplitMix64(derive_seed(seed, idx, t + 1)))
-            if kappa == 1:
-                ones += 1
-        p1 = ones / trials
-        rate = -math.log(p1) / n if p1 > 0 else math.inf
+        counts: dict[int, int] = {}
+        _tally(g, (derive_seed(seed, idx, t + 1) for t in range(trials)), counts)
+        p1 = counts.get(1, 0) / trials
+        # + 0.0 turns the -0.0 of p1 = 1 into 0.0 and leaves every other rate as is
+        rate = -math.log(p1) / n + 0.0 if p1 > 0 else math.inf
         cheeger = cheeger_constant(g) if n <= CHEEGER_VERTEX_CAP else None
         rows.append(DecayRow(n, p1, rate, cheeger))
     return rows

@@ -47,6 +47,8 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection, so no modulo bias."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
+        if n > 1 << 64:
+            raise ValueError("randrange needs n <= 2**64, the size of one draw")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next64()

@@ -6,7 +6,6 @@ import pytest
 
 from forestbuilder.canon import (
     CANONICAL_VERTEX_CAP,
-    _cums,
     _is_lexmax,
     _search,
     canonical_form,
@@ -72,8 +71,9 @@ def test_twin_classes_canonicalize_at_sixteen_vertices():
 
 def test_lexmax_test_matches_brute_force_oracle():
     # every labelled graph on at most 5 vertices: accepted exactly when its
-    # graph6 is the largest over all relabelings (the maximum is taken once
-    # per isomorphism class, over the class's labelled graphs)
+    # graph6 is the largest over all relabelings, and that largest string is
+    # its canonical key (the maximum is taken once per isomorphism class,
+    # over the class's labelled graphs)
     for n, classes in enumerate((1, 1, 2, 4, 11, 34)):  # OEIS A000088
         pairs = list(combinations(range(n), 2))
         largest: dict[str, str] = {}
@@ -85,6 +85,7 @@ def test_lexmax_test_matches_brute_force_oracle():
                 relabeled = {serialize_graph6(g.relabel(perm)) for perm in permutations(range(n))}
                 largest.update(dict.fromkeys(relabeled, max(relabeled)))
             assert _is_lexmax(g) == (text == largest[text]), text
+            assert canonical_key(g) == largest[text], text
             accepted += _is_lexmax(g)
         assert accepted == classes
 
@@ -189,7 +190,7 @@ def test_edge_strings_are_the_edge_orbits():
             masks = g.adjacency_masks()
             by_string: dict[int, set[tuple[int, int]]] = {}
             for u, v in g.edges:
-                string = _cums(masks, _search(n, masks, first=1 << u | 1 << v))[-1]
+                string = _search(n, masks, first=1 << u | 1 << v)
                 by_string.setdefault(string, set()).add((u, v))
             autos = _automorphisms_oracle(g)
             orbits = {

@@ -174,6 +174,14 @@ def test_decay_json_and_csv(capsys):
     for row, line in zip(rows, csv_out.splitlines()[1:]):
         n, p1_hat, rate, _ = line.split(",")
         assert (int(n), float(p1_hat), float(rate)) == (row.n, row.p1_hat, row.neg_log_p1_over_n)
+    # p1_hat = 1 gives the rate 0.0, not -0.0
+    argv = ["decay", "--d", "2", "--n-values", "3", "--trials", "20", "--seed", "1"]
+    assert _ok(capsys, argv) == (
+        '{"n": 3, "p1_hat": 1.0, "neg_log_p1_over_n": 0.0, "cheeger": "1/1"}\n'
+    )
+    assert _ok(capsys, argv + ["--format", "csv"]) == (
+        "n,p1_hat,neg_log_p1_over_n,cheeger\n3,1.0,0.0,1/1\n"
+    )
 
 
 def test_search_pairs_and_empty_outputs(capsys):
@@ -355,6 +363,12 @@ def test_computation_errors_exit_one(capsys):
     capsys.readouterr()
     assert run(["cheeger", "--family", "kn", "--n", "25"]) == 1
     capsys.readouterr()
+    # C(8e9, 2) pairs is more than one 64-bit draw covers
+    assert run(["gnm-sim", "--n", "8000000000", "--m", "1", "--graph-samples", "1",
+                "--orderings", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: gnm draws one of at most 2**64 vertex pairs, got C(8000000000, 2)\n"
+    )
 
 
 def test_decay_json_writes_null_for_an_infinite_rate(capsys):

@@ -1,7 +1,7 @@
 """Graph family generators, deterministic and seeded."""
 
 import tracemalloc
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -88,6 +88,11 @@ def test_gnm_deterministic_and_valid():
     assert gnm_random_graph(5, 0, seed=3).m == 0
     with pytest.raises(InfeasibleSpec):
         gnm_random_graph(4, 7, seed=0)
+    # the fewest vertices with more than 2^64 pairs: past one draw's range
+    n = isqrt(2**65) + 2
+    assert comb(n - 1, 2) <= 2**64 < comb(n, 2)
+    with pytest.raises(InfeasibleSpec):
+        gnm_random_graph(n, 1, seed=0)
 
 
 def test_gnm_maps_drawn_indices_to_row_major_pairs():

@@ -25,11 +25,31 @@ def test_serialize_known_graphs():
     assert serialize_graph6(Graph(0, ())) == "?"
 
 
+def _packed_bit_by_bit(g: Graph) -> str:
+    """Oracle: walk the column-major pairs, emitting each full 6-bit group."""
+    adjacency = g.adjacency_masks()
+    out = [chr(g.n + 63)]
+    group = filled = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            group = (group << 1) | ((adjacency[j] >> i) & 1)
+            filled += 1
+            if filled == 6:
+                out.append(chr(group + 63))
+                group = filled = 0
+    if filled:
+        out.append(chr((group << (6 - filled)) + 63))
+    return "".join(out)
+
+
 def test_round_trip_random_graphs():
-    for i in range(100):
-        n = 1 + i % 10
-        g = gnm_random_graph(n, (i * 7) % (comb(n, 2) + 1), seed=i)
-        back = parse_graph6(serialize_graph6(g))
+    # every size the short form takes, each padding width among them
+    for i in range(189):
+        n = i % 63
+        g = gnm_random_graph(n, (i * 7) % (comb(n, 2) + 1), seed=i) if n else Graph(0, ())
+        text = serialize_graph6(g)
+        assert text == _packed_bit_by_bit(g)
+        back = parse_graph6(text)
         assert back.n == g.n
         assert back.edge_set() == g.edge_set()
 

@@ -1,5 +1,7 @@
 """Deterministic seeded random streams."""
 
+import pytest
+
 from forestbuilder.rng import SplitMix64, derive_seed
 
 
@@ -24,6 +26,12 @@ def test_randrange_bounds():
     values = [rng.randrange(10) for _ in range(1000)]
     assert set(values) == set(range(10))
     assert SplitMix64(0).randrange(1) == 0
+    # one 64-bit draw covers n = 2^64 and no more: past it no draw would be
+    # accepted, so it raises instead of looping forever
+    assert 0 <= SplitMix64(3).randrange(2**64) < 2**64
+    for bad in (0, 2**64 + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(3).randrange(bad)
 
 
 def test_shuffle_is_a_permutation():
