@@ -7,7 +7,7 @@ Graph object.  Random families are pure functions of their seed.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 from .errors import GenerationTimeout, InfeasibleSpec
 from .graphs import Graph
@@ -87,15 +87,15 @@ def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     if total > 1 << 64:
         raise InfeasibleSpec(f"gnm draws one of at most 2**64 vertex pairs, got C({n}, 2)")
     rng = SplitMix64(derive_seed(seed, 0x6E6D))
-    # index q names the q-th pair (i, j), i < j, in row-major order; one pass
-    # over the rows maps the sorted indices, so memory stays O(m), not O(n^2)
+    # index q names the q-th pair (i, j), i < j, in row-major order; row r
+    # starts at index r(2n - r - 1)/2, so q's row is the floor of the smaller
+    # root of r(2n - r - 1)/2 = q.  The isqrt estimate is that floor or one more.
     edges = []
-    row, row_start = 0, 0  # pairs (row, *) have indices row_start .. row_start + n - 2 - row
     for q in sorted(rng.sample(total, m)):
-        while q >= row_start + n - 1 - row:
-            row_start += n - 1 - row
-            row += 1
-        edges.append((row, row + 1 + q - row_start))
+        row = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * q)) // 2
+        if row * (2 * n - row - 1) // 2 > q:
+            row -= 1
+        edges.append((row, row + 1 + q - row * (2 * n - row - 1) // 2))
     return Graph(n, tuple(edges))
 
 

@@ -33,8 +33,15 @@ class EstimatedDistribution:
 
 
 def _tally(g: Graph, seeds: Iterable[int], counts: dict[int, int]) -> None:
-    """Count kappa over one process run per seed, each shuffling range(m) afresh."""
-    edges, n, m = g.edges, g.n, g.m
+    """Count kappa over one process run per seed, each shuffling range(m) afresh.
+
+    The scan runs over the endpoints relabeled 0..n'-1 in first-seen order:
+    isolated vertices never touch kappa, so a trial costs O(m), not O(n).
+    """
+    index: dict[int, int] = {}
+    edges = tuple((index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+                  for u, v in g.edges)
+    n, m = len(index), g.m
     for seed in seeds:
         order = list(range(m))
         SplitMix64(seed).shuffle(order)

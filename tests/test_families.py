@@ -105,6 +105,15 @@ def test_gnm_maps_drawn_indices_to_row_major_pairs():
                 assert gnm_random_graph(n, m, seed).edges == tuple(pairs[q] for q in chosen)
 
 
+def test_gnm_maps_indices_to_pairs_at_billions_of_vertices():
+    # row r starts at index r(2n - r - 1)/2; every pair must invert to its index
+    n, m = 6 * 10**9, 200
+    chosen = sorted(SplitMix64(derive_seed(3, 0x6E6D)).sample(comb(n, 2), m))
+    g = gnm_random_graph(n, m, seed=3)
+    assert all(0 <= i < j < n for i, j in g.edges)
+    assert [i * (2 * n - i - 1) // 2 + j - i - 1 for i, j in g.edges] == chosen
+
+
 def test_gnm_memory_follows_the_edge_count_not_the_pair_count():
     # C(3000, 2) is about 4.5 million pairs; listing them costs hundreds of MB
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo estimators: reproducibility and calibration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,21 @@ def test_estimate_distribution_tallies_run_process_over_the_seeded_shuffles():
         tally[kappa] = tally.get(kappa, 0) + 1
     assert len(tally) > 1
     assert estimate_distribution(g, trials, seed).counts == tally
+
+
+def test_isolated_vertices_change_neither_the_counts_nor_the_trial_memory():
+    # a trial scans only the vertices that edges touch, so a million isolated
+    # vertices leave the counts as they are and allocate nothing per vertex
+    g = complete_multipartite((2, 2, 3))
+    padded = Graph(g.n + 10**6, g.edges)
+    tracemalloc.start()
+    try:
+        counts = estimate_distribution(padded, 300, seed=4).counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == estimate_distribution(g, 300, seed=4).counts
+    assert peak < 1_000_000
 
 
 def test_estimate_distribution_counts_and_moments():

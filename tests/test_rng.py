@@ -2,7 +2,7 @@
 
 import pytest
 
-from forestbuilder.rng import SplitMix64, derive_seed
+from forestbuilder.rng import _GOLDEN, _MUL1, _MUL2, SplitMix64, derive_seed
 
 
 def test_derive_seed_depends_on_path_order():
@@ -48,3 +48,53 @@ def test_sample_distinct_and_deterministic():
     assert all(0 <= x < 100 for x in picked)
     assert list(picked) == list(SplitMix64(13).sample(100, 10))
     assert sorted(SplitMix64(17).sample(6, 6)) == list(range(6))
+
+
+def _reference_shuffle(rng: SplitMix64, items: list) -> None:
+    # the plain Fisher-Yates loop over randrange that shuffle must reproduce
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _assert_matches_reference(state: int, length: int) -> list:
+    fast, slow = SplitMix64(state), SplitMix64(state)
+    fast_items, slow_items = list(range(length)), list(range(length))
+    fast.shuffle(fast_items)
+    _reference_shuffle(slow, slow_items)
+    assert fast_items == slow_items
+    assert fast._state == slow._state
+    return fast_items
+
+
+def _unshift(y: int, shift: int) -> int:
+    # inverse of y = x ^ (x >> shift) on 64-bit words
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(z: int) -> int:
+    # inverse of the SplitMix64 finalizer: _mix(_unmix(z)) == z
+    z = _unshift(z, 31)
+    z = _unshift(z * pow(_MUL2, -1, 2**64) % 2**64, 27)
+    return _unshift(z * pow(_MUL1, -1, 2**64) % 2**64, 30)
+
+
+def test_shuffle_takes_the_rejection_branch_like_randrange():
+    # a state whose first draw is 2^64 - 1, the one value randrange(3) rejects
+    state = (_unmix(2**64 - 1) - _GOLDEN) % 2**64
+    assert SplitMix64(state).next64() == 2**64 - 1
+    # length 3 redraws the first swap; for length 4 the draw exceeds the
+    # quick bound but randrange(4) accepts it, as 4 divides 2^64
+    assert _assert_matches_reference(state, 3) == [2, 0, 1]
+    assert _assert_matches_reference(state, 4) == [2, 0, 1, 3]
+
+
+def test_shuffle_equals_the_randrange_fisher_yates():
+    for root in (0, 1, 20261019):
+        for stream in range(4):
+            state = derive_seed(root, stream)
+            for length in [*range(71), 300, 600]:
+                _assert_matches_reference(state, length)
