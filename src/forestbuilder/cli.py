@@ -19,10 +19,9 @@ from pathlib import Path
 from . import closedforms, families, montecarlo, search
 from .distribution import ForestDistribution, format_fraction
 from .engine import brute_force_distribution, forest_polynomial, single_component_probability, expected_components
-from .errors import ForestBuilderError, SizeCapExceeded
+from .errors import ForestBuilderError
 from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph, cheeger_constant, parse_edge_list
-from .search import SEARCH_VERTEX_CAP, TREE_VERTEX_CAP, enumerate_connected_graphs, enumerate_trees
 
 
 class _UsageError(Exception):
@@ -273,17 +272,10 @@ def _cmd_conjecture(ns: argparse.Namespace) -> str:
 
 
 def _cmd_table(ns: argparse.Namespace) -> str:
-    if ns.which == "small-graphs":
-        enumerate_graphs, label = enumerate_connected_graphs, "connected classes"
-        kind, low, cap = "connected", 2, SEARCH_VERTEX_CAP
-    else:
-        enumerate_graphs, label = enumerate_trees, "trees"
-        kind, low, cap = "tree", 1, TREE_VERTEX_CAP
-    if not low <= ns.max_n <= cap:
-        raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
+    small = ns.which == "small-graphs"
+    kind, label = ("connected", "connected classes") if small else ("tree", "trees")
     lines = []
-    for n in range(2, ns.max_n + 1):
-        graphs = enumerate_graphs(n)
+    for n, graphs in search._classes(kind, 2, ns.max_n):
         if ns.verbose:
             print(f"n={n}: {len(graphs)} {label}", file=sys.stderr)
         for g in graphs:

@@ -11,6 +11,8 @@ the tree one vertex smaller plus a last vertex that is a leaf, so leaf
 augmentation of canonical trees with the same test makes each tree once.
 Kept graphs list their edges in graph6 order, as `parse_graph6` of their
 key would: a representative is a canonical form whose graph6 is its key.
+One source, `_classes`, enumerates the classes for every search and for the
+CLI tables, and it checks the size cap once, before building any level.
 Every search reports replayable records: graphs as graph6 strings plus the
 exact polynomials involved.
 """
@@ -32,7 +34,6 @@ from .graphs import Graph, is_connected
 
 SEARCH_VERTEX_CAP = 7
 TREE_VERTEX_CAP = 10
-EXHAUSTIVE_VERTEX_CAP = 6
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 
 
@@ -55,39 +56,11 @@ def _canonical_levels(n: int) -> Iterator[list[Graph]]:
         yield [g for g, _ in level]
 
 
-def enumerate_connected_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected n-vertex graphs.
-
-    Representatives are canonical forms, ordered by (edge count, canonical
-    key), from the orderly generation of every n-vertex canonical form.
-    """
-    if not 2 <= n <= SEARCH_VERTEX_CAP:
-        raise SizeCapExceeded(f"connected enumeration cap is 2..{SEARCH_VERTEX_CAP}")
+def _connected(n: int) -> list[Graph]:
     return [g for level in _canonical_levels(n) for g in level if is_connected(g)]
 
 
-def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
-    """Independent oracle: filter all 2^C(n,2) edge subsets, dedup, sort."""
-    if not 2 <= n <= EXHAUSTIVE_VERTEX_CAP:
-        raise SizeCapExceeded(f"exhaustive enumeration cap is 2..{EXHAUSTIVE_VERTEX_CAP}")
-    pairs = list(combinations(range(n), 2))
-    found: dict[str, int] = {}  # canonical key -> edge count
-    for subset in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if (subset >> i) & 1)
-        g = Graph(n, edges)
-        if is_connected(g):
-            found.setdefault(canonical_key(g), len(edges))
-    return [parse_graph6(key) for key in sorted(found, key=lambda key: (found[key], key))]
-
-
-def enumerate_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of n-vertex trees.
-
-    Made by orderly leaf augmentation (see the module docstring).
-    Representatives are canonical forms, in canonical key order.
-    """
-    if not 1 <= n <= TREE_VERTEX_CAP:
-        raise SizeCapExceeded(f"tree enumeration cap is 1..{TREE_VERTEX_CAP}")
+def _trees(n: int) -> list[Graph]:
     level = [Graph(1, ())]
     for k in range(1, n):
         level = [
@@ -97,6 +70,32 @@ def enumerate_trees(n: int) -> list[Graph]:
             if _is_lexmax(t := Graph(k + 1, parent.edges + ((host, k),)))
         ]
     return sorted(level, key=serialize_graph6)
+
+
+def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph]]]:
+    """(n, representatives) of the "connected" graphs or "tree"s on first..last vertices.
+
+    The one check of each kind's size range, made on the call, before any class is built.
+    """
+    if kind == "connected":
+        low, cap, build = 2, SEARCH_VERTEX_CAP, _connected
+    else:
+        low, cap, build = 1, TREE_VERTEX_CAP, _trees
+    if not low <= last <= cap:
+        raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
+    return ((n, build(n)) for n in range(first, last + 1))
+
+
+def enumerate_connected_graphs(n: int) -> list[Graph]:
+    """Canonical representatives of the connected n-vertex classes, by (edge count, key)."""
+    ((_, graphs),) = _classes("connected", n, n)
+    return graphs
+
+
+def enumerate_trees(n: int) -> list[Graph]:
+    """Canonical representatives of the n-vertex trees, by leaf augmentation, in key order."""
+    ((_, trees),) = _classes("tree", n, n)
+    return trees
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _corollary4_explains(a: Graph, b: Graph) -> bool:
     return False
 
 
-_Member = tuple[str, Graph, ForestDistribution]
+_Member = tuple[str, ForestDistribution]
 
 
 def _bucketed_pairs(
@@ -154,14 +153,14 @@ def _bucketed_pairs(
     engine: PolynomialEngine | None,
     signature: Callable[[Graph, ForestDistribution], tuple],
 ) -> Iterator[tuple[_Member, _Member]]:
-    """Pairs of representatives with equal signatures, as (graph6, graph, p_G).
+    """Pairs of representatives with equal signatures, as (graph6, p_G).
 
     Pairs come in signature order, then graph6 order.
     """
     buckets: dict[tuple, list[_Member]] = {}
     for g in graphs:
         dist = forest_polynomial(g, engine)
-        buckets.setdefault(signature(g, dist), []).append((serialize_graph6(g), g, dist))
+        buckets.setdefault(signature(g, dist), []).append((serialize_graph6(g), dist))
     for sig in sorted(buckets):
         yield from combinations(sorted(buckets[sig], key=lambda item: item[0]), 2)
 
@@ -170,8 +169,8 @@ def _pair_reports(
     graphs: list[Graph], engine: PolynomialEngine | None
 ) -> list[PairReport]:
     return [
-        PairReport(g6a, g6b, dist, _corollary4_explains(ga, gb))
-        for (g6a, ga, dist), (g6b, gb, _) in _bucketed_pairs(
+        PairReport(g6a, g6b, dist, _corollary4_explains(parse_graph6(g6a), parse_graph6(g6b)))
+        for (g6a, dist), (g6b, _) in _bucketed_pairs(
             graphs, engine, lambda g, dist: tuple(sorted(dist.probs.items()))
         )
     ]
@@ -186,8 +185,6 @@ def find_equal_polynomial_pairs(
     n: int, engine: PolynomialEngine | None = None
 ) -> list[PairReport]:
     """All unordered pairs of connected n-vertex classes sharing a polynomial."""
-    if not 2 <= n <= SEARCH_VERTEX_CAP:
-        raise SizeCapExceeded(f"pair search cap is 2..{SEARCH_VERTEX_CAP}")
     return _pair_reports(enumerate_connected_graphs(n), engine)
 
 
@@ -199,11 +196,9 @@ def find_edge_degree_twins(
     Equal multisets force equal expected component counts, so these witness
     that the expectation does not determine the distribution.
     """
-    if not 2 <= n <= SEARCH_VERTEX_CAP:
-        raise SizeCapExceeded(f"twin search cap is 2..{SEARCH_VERTEX_CAP}")
     return [
-        TwinReport(g6a, g6b, expected_components(ga), da, db)
-        for (g6a, ga, da), (g6b, _, db) in _bucketed_pairs(
+        TwinReport(g6a, g6b, expected_components(parse_graph6(g6a)), da, db)
+        for (g6a, da), (g6b, db) in _bucketed_pairs(
             enumerate_connected_graphs(n), engine, _edge_degree_sums
         )
         if da.probs != db.probs
@@ -235,18 +230,10 @@ def sweep_log_concavity(
     n_max: int, engine: PolynomialEngine | None = None
 ) -> list[Graph]:
     """Log-concavity violations among connected classes on 2..n_max vertices."""
-    if not 2 <= n_max <= SEARCH_VERTEX_CAP:
-        raise SizeCapExceeded(f"sweep cap is 2..{SEARCH_VERTEX_CAP}")
-    violations = []
-    for n in range(2, n_max + 1):
-        for g in enumerate_connected_graphs(n):
-            if not check_log_concavity(g, engine):
-                violations.append(g)
-    return violations
+    graphs = (g for _, level in _classes("connected", 2, n_max) for g in level)
+    return [g for g in graphs if not check_log_concavity(g, engine)]
 
 
 def find_tree_pairs(n: int, engine: PolynomialEngine | None = None) -> list[PairReport]:
     """Pairs of non-isomorphic n-vertex trees with equal polynomials."""
-    if not 1 <= n <= TREE_VERTEX_CAP:
-        raise SizeCapExceeded(f"tree pair cap is 1..{TREE_VERTEX_CAP}")
     return _pair_reports(enumerate_trees(n), engine)

@@ -385,8 +385,8 @@ def test_decay_json_writes_null_for_an_infinite_rate(capsys):
 
 def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("forestbuilder.cli.enumerate_connected_graphs", calls.append)
-    monkeypatch.setattr("forestbuilder.cli.enumerate_trees", calls.append)
+    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
+    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
     assert run(["table", "small-graphs", "--max-n", "8"]) == 1
     assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
     assert run(["table", "trees", "--max-n", "11"]) == 1
@@ -396,8 +396,8 @@ def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
 
 def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("forestbuilder.cli.enumerate_connected_graphs", calls.append)
-    monkeypatch.setattr("forestbuilder.cli.enumerate_trees", calls.append)
+    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
+    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
     for max_n in ("1", "-3"):
         assert run(["table", "small-graphs", "--max-n", max_n]) == 1
         assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
@@ -406,6 +406,23 @@ def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
     assert calls == []
     # one vertex is a valid tree size; its table is empty
     assert _ok(capsys, ["table", "trees", "--max-n", "1"]) == ""
+
+
+def test_search_out_of_range_fails_before_enumerating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
+    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
+    connected = "error: connected enumeration cap is 2..7\n"
+    for argv, err in (
+        (["pairs", "--n", "8"], connected),
+        (["twins", "--n", "1"], connected),
+        (["logconcave", "--max-n", "8"], connected),
+        (["logconcave", "--max-n", "1"], connected),
+        (["trees", "--n", "11"], "error: tree enumeration cap is 1..10\n"),
+    ):
+        assert run(["search", *argv]) == 1
+        assert capsys.readouterr() == ("", err)
+    assert calls == []
 
 
 def test_decay_rejects_degree_below_one_before_building_a_graph(capsys, monkeypatch):

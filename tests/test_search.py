@@ -15,7 +15,6 @@ from forestbuilder.search import (
     check_conjecture,
     check_log_concavity,
     enumerate_connected_graphs,
-    enumerate_connected_graphs_exhaustive,
     enumerate_trees,
     find_edge_degree_twins,
     find_equal_polynomial_pairs,
@@ -26,6 +25,25 @@ from forestbuilder.search import (
 CONNECTED_CLASS_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}  # OEIS A000088
 TREE_CLASS_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+EXHAUSTIVE_VERTEX_CAP = 6
+
+
+def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
+    """Oracle for enumerate_connected_graphs: filter all 2^C(n,2) edge subsets.
+
+    Keys every connected subset, dedups the keys and sorts them by (edge
+    count, key), with no orderly generation; 2^15 subsets at n = 6.
+    """
+    if not 2 <= n <= EXHAUSTIVE_VERTEX_CAP:
+        raise SizeCapExceeded(f"exhaustive enumeration cap is 2..{EXHAUSTIVE_VERTEX_CAP}")
+    pairs = list(combinations(range(n), 2))
+    found: dict[str, int] = {}  # canonical key -> edge count
+    for subset in range(1 << len(pairs)):
+        edges = tuple(pairs[i] for i in range(len(pairs)) if (subset >> i) & 1)
+        g = Graph(n, edges)
+        if is_connected(g):
+            found.setdefault(canonical_key(g), len(edges))
+    return [parse_graph6(key) for key in sorted(found, key=lambda key: (found[key], key))]
 
 
 def labeled_trees_prufer(n: int):
