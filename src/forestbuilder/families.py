@@ -104,8 +104,10 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
 
     Stubs are shuffled and paired; draws with self-loops or repeated pairs
     are rejected wholesale, so conditioned on acceptance the simple graphs
-    appear with the pairing-model weights.  Raises GenerationTimeout after
-    a retry budget, InfeasibleSpec when n*d is odd or d >= n.
+    appear with the pairing-model weights.  d = n - 1 returns K_n, the one
+    such graph, which the pairing model almost never draws simple for
+    n >= 7.  Raises GenerationTimeout after a retry budget, InfeasibleSpec
+    when n*d is odd or d >= n.
     """
     if n < 1 or d < 0:
         raise InfeasibleSpec("regular graph needs n >= 1 and d >= 0")
@@ -113,6 +115,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise InfeasibleSpec(f"no simple {d}-regular graph on {n} vertices")
     if d == 0:
         return Graph(n, ())
+    if d == n - 1:
+        return complete_graph(n)
     for attempt in range(_REGULAR_RETRY_CAP):
         rng = SplitMix64(derive_seed(seed, 0x7265, attempt))
         stubs = [v for v in range(n) for _ in range(d)]

@@ -18,7 +18,7 @@ from .engine import _scan
 from .errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
 from .graphs import CHEEGER_VERTEX_CAP, Graph, cheeger_constant
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _derived_seeds, derive_seed
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def estimate_distribution(g: Graph, trials: int, seed: int) -> EstimatedDistribu
     if trials < 1:
         raise ParameterOutOfRange("needs trials >= 1")
     counts: dict[int, int] = {}
-    _tally(g, (derive_seed(seed, t) for t in range(trials)), counts)
+    _tally(g, _derived_seeds(seed, (), 0, trials), counts)
     mean, stderr = _moments(counts, trials)
     return EstimatedDistribution(trials, seed, counts, mean, stderr)
 
@@ -83,7 +83,7 @@ def estimate_gnm_expectation(
     counts: dict[int, int] = {}
     for i in range(graph_samples):
         g = gnm_random_graph(n, m, derive_seed(seed, i, 0))
-        _tally(g, (derive_seed(seed, i, j + 1) for j in range(orderings_per_graph)), counts)
+        _tally(g, _derived_seeds(seed, (i,), 1, orderings_per_graph), counts)
     return _moments(counts, graph_samples * orderings_per_graph)
 
 
@@ -116,7 +116,7 @@ def single_component_decay(
     for idx, n in enumerate(n_values):
         g = random_regular_graph(n, d, derive_seed(seed, idx))
         counts: dict[int, int] = {}
-        _tally(g, (derive_seed(seed, idx, t + 1) for t in range(trials)), counts)
+        _tally(g, _derived_seeds(seed, (idx,), 1, trials), counts)
         p1 = counts.get(1, 0) / trials
         # + 0.0 turns the -0.0 of p1 = 1 into 0.0 and leaves every other rate as is
         rate = -math.log(p1) / n + 0.0 if p1 > 0 else math.inf

@@ -133,6 +133,25 @@ def test_seeded_outputs_are_pinned(capsys):
     )
 
 
+def test_a_long_seeded_stream_is_pinned(capsys):
+    # a 600-stub and 300 300-edge shuffles, each crossing draw-block edges
+    out = _ok(capsys, ["simulate", "--family", "regular", "--n", "200", "--d", "3",
+                       "--graph-seed", "1", "--trials", "300", "--seed", "5"])
+    assert out == (
+        '{"trials": 300, "seed": 5, "counts": {"50": 1, "52": 1, "54": 8, "55": 9, '
+        '"56": 17, "57": 30, "58": 30, "59": 31, "60": 31, "61": 32, "62": 35, '
+        '"63": 22, "64": 21, "65": 14, "66": 7, "67": 4, "68": 6, "70": 1}, '
+        '"mean_kappa": 60.3, "stderr_kappa": 0.1923827204067755}\n'
+    )
+
+
+def test_simulate_regular_of_degree_n_minus_one_is_k_n(capsys):
+    regular = _ok(capsys, ["simulate", "--family", "regular", "--n", "8", "--d", "7",
+                           "--graph-seed", "1", "--trials", "200", "--seed", "3"])
+    assert regular == _ok(capsys, ["simulate", "--family", "kn", "--n", "8",
+                                   "--trials", "200", "--seed", "3"])
+
+
 def test_poly_json_keys_run_in_numeric_order(capsys):
     # eleven terms: string order would put "10" and "11" before "2"
     out = _ok(capsys, ["poly", "--family", "path", "--n", "22", "--method", "closed"])

@@ -135,3 +135,10 @@ def test_random_regular():
         random_regular_graph(5, 3, seed=0)  # odd degree sum
     with pytest.raises(InfeasibleSpec):
         random_regular_graph(4, 4, seed=0)  # d >= n
+
+
+def test_random_regular_of_degree_n_minus_one_is_complete():
+    # the pairing model drew K_n up to n = 6 and timed out from n = 7 on
+    for n in range(4, 13):
+        for seed in (1, 2):
+            assert random_regular_graph(n, n - 1, seed).edges == complete_graph(n).edges

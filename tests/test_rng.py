@@ -2,7 +2,7 @@
 
 import pytest
 
-from forestbuilder.rng import _GOLDEN, _MUL1, _MUL2, SplitMix64, derive_seed
+from forestbuilder.rng import _GOLDEN, _LANES, _MUL1, _MUL2, SplitMix64, _derived_seeds, derive_seed
 
 
 def test_derive_seed_depends_on_path_order():
@@ -92,9 +92,31 @@ def test_shuffle_takes_the_rejection_branch_like_randrange():
     assert _assert_matches_reference(state, 4) == [2, 0, 1, 3]
 
 
+def test_shuffle_redraws_at_every_block_edge_like_randrange():
+    # states whose d-th draw is 2^64 - 1: at the first draw, on either side
+    # of the block edges and at the last draw, which randrange(2) accepts
+    w = _LANES
+    for length in (2 * w + 1, 601):
+        for d in (1, w - 1, w, w + 1, 2 * w, 200, length - 1):
+            state = (_unmix(2**64 - 1) - d * _GOLDEN) % 2**64
+            rng = SplitMix64(state)
+            assert [rng.next64() for _ in range(d)][-1] == 2**64 - 1
+            _assert_matches_reference(state, length)
+
+
 def test_shuffle_equals_the_randrange_fisher_yates():
+    w = _LANES
     for root in (0, 1, 20261019):
         for stream in range(4):
             state = derive_seed(root, stream)
-            for length in [*range(71), 300, 600]:
+            for length in [*range(71), w - 1, w, w + 1, 2 * w + 1, 300, 600, 601]:
                 _assert_matches_reference(state, length)
+
+
+def test_derived_seeds_are_the_derive_seed_values():
+    for root in (0, 9, 20261019, 2**64 - 1):
+        assert list(_derived_seeds(root, (), 0, 2 * _LANES + 3)) == [
+            derive_seed(root, t) for t in range(2 * _LANES + 3)]
+        assert list(_derived_seeds(root, (4,), 1, 300)) == [
+            derive_seed(root, 4, j + 1) for j in range(300)]
+    assert list(_derived_seeds(5, (1, 2), 7, 0)) == []
