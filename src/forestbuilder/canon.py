@@ -26,7 +26,10 @@ included.  This exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP
 vertices.
 `_is_lexmax` runs the same search with the identity ordering as incumbent:
 it walks only the branches tied with it and stops at the first that beats
-it.  Two facts let enumeration build lexmax forms from smaller ones:
+it.  Two facts let enumeration grow lexmax forms a vertex at a time: the
+connected prefix fact makes every connected form its prefix one vertex
+smaller plus a last vertex, and last-1 deletion lets that vertex's edges
+(the string's last 1-bits) be added one at a time, each step lexmax.
 
 * Last-1 deletion: clearing the last 1-bit of a lexmax string S (edge e of
   G) leaves the lexmax string of G - e.  Suppose a relabeling of G - e gave

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,14 +362,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int-to-str digit limit, then restore it.
+
+    Exact rationals can run past the default 4,300 digits.  The limit came
+    with 3.11 and the 3.10.7 security release; older builds have none.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv)  # under the digit limit: no 4,300-digit flags
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = ns.handler(ns)
+        with _unlimited_int_digits():
+            output = ns.handler(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

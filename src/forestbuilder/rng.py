@@ -14,11 +14,12 @@ lane per output, instead of running the finalizer as a dozen big-int
 operations per output.  `SplitMix64.shuffle`, the hot loop of every Monte
 Carlo trial, reads its draws from blocks and only reduces and swaps per
 draw.  At a draw that `randrange` would reject (probability below
-len / 2^64) it finishes with the plain Fisher-Yates loop
-`j = randrange(i + 1)` for i = len - 1 .. 1.  That loop is the oracle: the
-permutation and final state equal its own for every seed and length, and
-`tests/test_rng.py` checks them.  `_derived_seeds`, the estimators'
-per-trial seeds, reads its outputs from the same blocks.
+len / 2^64) it moves the state just past that draw and starts the next
+block there, so the same swap is redrawn as `randrange` would.  The plain
+Fisher-Yates loop `j = randrange(i + 1)` for i = len - 1 .. 1 is the
+oracle: the permutation and final state equal its own for every seed and
+length, and `tests/test_rng.py` checks them.  `_derived_seeds`, the
+estimators' per-trial seeds, reads its outputs from the same blocks.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class SplitMix64:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, drawing j as `randrange(i + 1)` would.
 
-        Draws come `_LANES` at a time from `_block`; at the first draw that
-        randrange would reject, the state moves just past it and the plain
-        randrange loop finishes the shuffle.
+        Draws come `_LANES` at a time from `_block`; at a draw that
+        randrange would reject, the state moves just past it and the next
+        block starts with the redraw for the same i.
         """
         state = self._state
         # every randrange(i + 1) limit 2**64 - 2**64 % (i + 1) is above `safe`,
@@ -134,16 +135,15 @@ class SplitMix64:
             for i, z in zip(range(top, top - r, -1), _block(state, r)):
                 if z > safe and z >= (1 << 64) - (1 << 64) % (i + 1):
                     # z is rejected: randrange(i + 1) redraws from the state
-                    # just past it, and the loop over randrange finishes
-                    self._state = (state + (top - i + 1) * _GOLDEN) & _MASK64
-                    for i in range(i, 0, -1):
-                        j = self.randrange(i + 1)
-                        items[i], items[j] = items[j], items[i]
-                    return
+                    # just past it
+                    state = (state + (top - i + 1) * _GOLDEN) & _MASK64
+                    top = i
+                    break
                 j = z % (i + 1)
                 items[i], items[j] = items[j], items[i]
-            state = (state + r * _GOLDEN) & _MASK64
-            top -= r
+            else:
+                state = (state + r * _GOLDEN) & _MASK64
+                top -= r
         self._state = state
 
     def sample(self, n: int, k: int) -> list[int]:

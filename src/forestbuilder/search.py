@@ -3,12 +3,16 @@
 Each isomorphism class is reported as one canonical graph6 string, its
 canonical key.  Enumeration is orderly generation (Read, Every one a
 winner, 1978) over lexmax canonical forms, so it keys nothing and dedups
-nothing.  By the last-1 deletion fact (proved in `canon`), every form with
-m edges arises exactly once from a form with m-1 edges, by setting one
-0-bit after that form's last 1-bit, and the children kept are those
-`canon._is_lexmax` accepts.  By the connected prefix fact, every tree is
-the tree one vertex smaller plus a last vertex that is a leaf, so leaf
-augmentation of canonical trees with the same test makes each tree once.
+nothing.  One generator, `_grow`, builds both trees and connected graphs a
+vertex at a time.  By the connected prefix fact (proved in `canon`),
+dropping the last vertex of a lexmax connected graph leaves the lexmax form
+one vertex smaller, and that vertex's column holds the string's last
+1-bits.  By the last-1 deletion fact, clearing them one at a time keeps
+every step lexmax, down to that vertex's earliest edge.  So each form on
+k + 1 vertices arises exactly once from one on k vertices: join a last
+vertex k to one vertex u (a leaf, and the only step for trees), then add
+neighbours v > u of k in increasing order, keeping each step that
+`canon._is_lexmax` accepts.
 Kept graphs list their edges in graph6 order, as `parse_graph6` of their
 key would: a representative is a canonical form whose graph6 is its key.
 One source, `_classes`, enumerates the classes for every search and for the
@@ -30,46 +34,34 @@ from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
 from .families import balanced_bipartite_plus_edge, complete_bipartite
 from .graph6 import parse_graph6, serialize_graph6
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 SEARCH_VERTEX_CAP = 7
 TREE_VERTEX_CAP = 10
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 
 
-def _canonical_levels(n: int) -> Iterator[list[Graph]]:
-    """The canonical forms on n vertices with m edges, for m = 1, 2, ...
+def _grow(n: int, tree: bool) -> list[Graph]:
+    """The canonical trees, or connected graphs, on n vertices, by (edge count, key).
 
-    Each level comes in graph6 order.  A child sets one 0-bit after its
-    parent's last 1-bit and is kept when it is its own lexmax form.
+    A class on k + 1 vertices grows from its lexmax prefix on k vertices:
+    a last vertex k is joined to one vertex, then (for connected graphs) to
+    more, in increasing order, each step kept when it is its own lexmax form.
     """
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # graph6 bit order
-    level = [(Graph(n, ()), -1)]  # (form, position of its last 1-bit)
-    for _ in pairs:
-        level = [
-            (h, q)
-            for g, last in level
-            for q in range(last + 1, len(pairs))
-            if _is_lexmax(h := Graph(n, g.edges + (pairs[q],)))
-        ]
-        level.sort(key=lambda item: serialize_graph6(item[0]))
-        yield [g for g, _ in level]
-
-
-def _connected(n: int) -> list[Graph]:
-    return [g for level in _canonical_levels(n) for g in level if is_connected(g)]
-
-
-def _trees(n: int) -> list[Graph]:
     level = [Graph(1, ())]
     for k in range(1, n):
-        level = [
-            t
-            for parent in level
-            for host in range(k)
-            if _is_lexmax(t := Graph(k + 1, parent.edges + ((host, k),)))
-        ]
-    return sorted(level, key=serialize_graph6)
+        # (form, vertex k's last neighbour), from vertex k still isolated
+        step = [(Graph(k + 1, g.edges), -1) for g in level]
+        level = []
+        for _ in range(1 if tree else k):
+            step = [
+                (h, v)
+                for g, last in step
+                for v in range(last + 1, k)
+                if _is_lexmax(h := Graph(k + 1, g.edges + ((v, k),)))
+            ]
+            level += (h for h, _ in step)
+    return sorted(level, key=lambda g: (g.m, serialize_graph6(g)))
 
 
 def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph]]]:
@@ -77,13 +69,11 @@ def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph
 
     The one check of each kind's size range, made on the call, before any class is built.
     """
-    if kind == "connected":
-        low, cap, build = 2, SEARCH_VERTEX_CAP, _connected
-    else:
-        low, cap, build = 1, TREE_VERTEX_CAP, _trees
+    tree = kind == "tree"
+    low, cap = (1, TREE_VERTEX_CAP) if tree else (2, SEARCH_VERTEX_CAP)
     if not low <= last <= cap:
         raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
-    return ((n, build(n)) for n in range(first, last + 1))
+    return ((n, _grow(n, tree)) for n in range(first, last + 1))
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:

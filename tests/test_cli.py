@@ -1,9 +1,12 @@
 """Command line behavior: output shapes, determinism, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
+from math import factorial
 
 from forestbuilder import families
-from forestbuilder.cli import _FAMILIES, run
+from forestbuilder.cli import _FAMILIES, _unlimited_int_digits, run
 from forestbuilder.distribution import format_fraction
 from forestbuilder.engine import forest_polynomial
 from forestbuilder.graph6 import parse_graph6
@@ -87,6 +90,22 @@ def test_closed_formula_values(capsys):
     # unlike poly --method closed, the path formula takes the edge count
     out = _ok(capsys, ["closed", "path", "--n", "5"])
     assert json.loads(out)["probs"] == {"1": "2/15", "2": "11/15", "3": "2/15"}
+
+
+def test_closed_value_past_the_int_digit_limit(capsys):
+    # P(C_n has one component) = n 2^(n-2) / n!: past 4,300 digits at n = 2000
+    n = 2000
+    # 0 where the interpreter has no limit, or where it is switched off
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    out = _ok(capsys, ["closed", "cycle1", "--n", str(n), "--format", "text"])
+    assert len(out) > 4300
+    with _unlimited_int_digits():
+        assert Fraction(out) == Fraction(n * 2 ** (n - 2), factorial(n))
+    if limit:
+        # the limit is back, and flags are still parsed under it
+        assert sys.get_int_max_str_digits() == limit
+        assert run(["closed", "cycle1", "--n", "1" * (limit + 1)]) == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 def test_closed_missing_argument(capsys):
@@ -404,8 +423,7 @@ def test_decay_json_writes_null_for_an_infinite_rate(capsys):
 
 def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
-    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
+    monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
     assert run(["table", "small-graphs", "--max-n", "8"]) == 1
     assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
     assert run(["table", "trees", "--max-n", "11"]) == 1
@@ -415,8 +433,7 @@ def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
 
 def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
-    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
+    monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
     for max_n in ("1", "-3"):
         assert run(["table", "small-graphs", "--max-n", max_n]) == 1
         assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
@@ -429,8 +446,7 @@ def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
 
 def test_search_out_of_range_fails_before_enumerating(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr("forestbuilder.search._connected", calls.append)
-    monkeypatch.setattr("forestbuilder.search._trees", calls.append)
+    monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
     connected = "error: connected enumeration cap is 2..7\n"
     for argv, err in (
         (["pairs", "--n", "8"], connected),

@@ -23,27 +23,25 @@ from forestbuilder.search import (
 )
 
 CONNECTED_CLASS_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-ALL_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}  # OEIS A000088
+ALL_CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}  # OEIS A000088
 TREE_CLASS_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 EXHAUSTIVE_VERTEX_CAP = 6
 
 
-def enumerate_connected_graphs_exhaustive(n: int) -> list[Graph]:
-    """Oracle for enumerate_connected_graphs: filter all 2^C(n,2) edge subsets.
+def exhaustive_classes(n: int) -> dict[str, Graph]:
+    """Oracle for enumerate_connected_graphs: key all 2^C(n,2) edge subsets.
 
-    Keys every connected subset, dedups the keys and sorts them by (edge
-    count, key), with no orderly generation; 2^15 subsets at n = 6.
+    Maps each canonical key, disconnected graphs' included, to the first
+    subset found with it, with no orderly generation; 2^15 subsets at n = 6.
     """
     if not 2 <= n <= EXHAUSTIVE_VERTEX_CAP:
         raise SizeCapExceeded(f"exhaustive enumeration cap is 2..{EXHAUSTIVE_VERTEX_CAP}")
     pairs = list(combinations(range(n), 2))
-    found: dict[str, int] = {}  # canonical key -> edge count
+    found: dict[str, Graph] = {}
     for subset in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if (subset >> i) & 1)
-        g = Graph(n, edges)
-        if is_connected(g):
-            found.setdefault(canonical_key(g), len(edges))
-    return [parse_graph6(key) for key in sorted(found, key=lambda key: (found[key], key))]
+        g = Graph(n, tuple(pairs[i] for i in range(len(pairs)) if (subset >> i) & 1))
+        found.setdefault(canonical_key(g), g)
+    return found
 
 
 def labeled_trees_prufer(n: int):
@@ -100,19 +98,21 @@ def test_connected_class_counts(connected_classes):
 
 def test_connected_enumeration_matches_exhaustive_oracle():
     for n in range(2, 7):
+        classes = exhaustive_classes(n)
+        assert len(classes) == ALL_CLASS_COUNTS[n]
         grown = [canonical_key(g) for g in enumerate_connected_graphs(n)]
-        filtered = [canonical_key(g) for g in enumerate_connected_graphs_exhaustive(n)]
-        assert grown == filtered
+        # the connected keys, by (edge count, key)
+        filtered = sorted((g.m, key) for key, g in classes.items() if is_connected(g))
+        assert grown == [key for _, key in filtered]
     with pytest.raises(SizeCapExceeded):
-        enumerate_connected_graphs_exhaustive(7)
+        exhaustive_classes(7)
 
 
-def every_edge_added(g: Graph) -> list[Graph]:
-    present = g.edge_set()
+def every_vertex_added(g: Graph) -> list[Graph]:
+    # a new vertex joined to each nonempty set of the old ones
     return [
-        Graph(g.n, g.edges + (e,))
-        for e in combinations(range(g.n), 2)
-        if e not in present
+        Graph(g.n + 1, g.edges + tuple((u, g.n) for u in range(g.n) if subset >> u & 1))
+        for subset in range(1, 1 << g.n)
     ]
 
 
@@ -121,15 +121,15 @@ def every_leaf_added(t: Graph) -> list[Graph]:
 
 
 def test_orderly_generation_keeps_each_class_once_in_canonical_form():
-    # every edge (or leaf) augmentation of every level graph, for connected
+    # every vertex (or leaf) augmentation of every class, for connected
     # graphs on n <= 7 and trees on n <= 10, lands in the next level, whose
-    # graphs are their own canonical forms with no key repeated
-    graph_levels = {
-        n: [[Graph(n, ())], *search._canonical_levels(n)] for n in range(2, 8)
-    }
+    # graphs are their own canonical forms with no key repeated; the levels
+    # miss no class, as deleting a non-cut vertex (a leaf of a tree) leaves
+    # a connected graph (a tree) one vertex smaller
+    graph_levels = [[Graph(1, ())]] + [enumerate_connected_graphs(n) for n in range(2, 8)]
     tree_levels = [[Graph(1, ())]] + [enumerate_trees(n) for n in range(2, 11)]
     for levels, augment in (
-        *((levels, every_edge_added) for levels in graph_levels.values()),
+        (graph_levels, every_vertex_added),
         (tree_levels, every_leaf_added),
     ):
         for level, nxt in zip(levels, levels[1:]):
@@ -137,34 +137,29 @@ def test_orderly_generation_keeps_each_class_once_in_canonical_form():
             assert keys == [canonical_key(g) for g in nxt]
             assert len(set(keys)) == len(keys)
             assert {canonical_key(h) for g in level for h in augment(g)} == set(keys)
-    # the levels hold every graph but the edgeless one, and every tree
-    assert {n: sum(map(len, levels[1:])) for n, levels in graph_levels.items()} == {
-        n: c - 1 for n, c in ALL_CLASS_COUNTS.items()
-    }
     assert [len(level) for level in tree_levels] == TREE_CLASS_COUNTS
 
 
 def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, connected_classes):
-    # one test per child, a 0-bit set after its parent's last 1-bit: 2,377
-    # at n = 7, 1,043 of them accepted
+    # one test per child, a neighbour of the last vertex after its latest
+    # one: 2,009 at n = 7 (over every level from 2 vertices), 995 accepted
     calls = []
     real_is_lexmax = search._is_lexmax
 
     def counting(g):
-        calls.append(g)
-        return real_is_lexmax(g)
+        calls.append(real_is_lexmax(g))
+        return calls[-1]
 
     monkeypatch.setattr(search, "_is_lexmax", counting)
     assert tuple(enumerate_connected_graphs(7)) == connected_classes[7]
-    assert len(calls) <= 2500
+    assert (len(calls), sum(calls)) == (2009, 995)
 
 
-def test_canonical_levels_reach_every_graph_on_eight_vertices():
-    # past SEARCH_VERTEX_CAP: A000088(8) = 12,346 graphs (the edgeless one is
-    # no level's), A001349(8) = 11,117 of them connected
-    graphs = [g for level in search._canonical_levels(8) for g in level]
-    assert len(graphs) == 12346 - 1
-    assert sum(map(is_connected, graphs)) == 11117
+def test_grow_reaches_every_connected_graph_on_eight_vertices():
+    # past SEARCH_VERTEX_CAP: A001349(8) = 11,117 connected classes
+    graphs = search._grow(8, False)
+    assert len(graphs) == 11117
+    assert all(map(is_connected, graphs))
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
