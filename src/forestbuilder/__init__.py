@@ -4,9 +4,10 @@ Scan a uniformly random ordering of a graph's edges and keep each edge that
 touches at least one vertex untouched by the earlier kept edges; the kept
 edges form a spanning forest.  This package computes the distribution of
 the forest's component count exactly (local-minimum sums over the matchings
-of the line graph, with brute force and the edge-deletion recurrence as
-oracles), evaluates the known closed forms, estimates by seeded simulation,
-and searches small graphs for distribution coincidences.
+of the line graph, with brute force over all orderings as an oracle; the
+test suite keeps the edge-deletion recurrence as a second), evaluates the
+known closed forms, estimates by seeded simulation, and searches small
+graphs for distribution coincidences.
 """
 
 from .distribution import ForestDistribution, convolve, format_fraction, parse_fraction
@@ -20,7 +21,6 @@ from .engine import (
     run_process,
     single_component_probability,
 )
-from .recurrence import recurrence_distribution
 from .graphs import (
     CHEEGER_VERTEX_CAP,
     Graph,
@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .canon import (
     CANONICAL_VERTEX_CAP,
-    canonical_form,
     canonical_key,
     is_edge_transitive,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SplitMix64",
     "balanced_bipartite_plus_edge",
     "brute_force_distribution",
-    "canonical_form",
     "canonical_key",
     "cheeger_constant",
     "complete_bipartite",
@@ -87,7 +85,6 @@ __all__ = [
     "parse_graph6",
     "path_graph",
     "random_regular_graph",
-    "recurrence_distribution",
     "run_process",
     "serialize_graph6",
     "single_component_probability",

@@ -20,10 +20,10 @@ symmetric inputs from exploding factorially:
 
 The automorphisms the search finds serve only this pruning.  The search
 returns the winning bit string itself, and `canonical_key` packs it as
-graph6 text: the one identity of an isomorphism class.  `canonical_form` is
-`parse_graph6` of that key, so the two agree by construction, edge order
-included.  This exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP
-vertices.
+graph6 text: the one identity of an isomorphism class.  The canonical form
+itself is `parse_graph6` of that key, edges in graph6 (column-major) order;
+the searches hand out exactly these graphs as class representatives.  This
+exhaustive lexmax search is capped at CANONICAL_VERTEX_CAP vertices.
 `_is_lexmax` runs the same search with the identity ordering as incumbent:
 it walks only the branches tied with it and stops at the first that beats
 it.  Two facts let enumeration grow lexmax forms a vertex at a time: the
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from .errors import SizeCapExceeded
 from .graphs import Graph
-from .graph6 import _cums, _pack, parse_graph6
+from .graph6 import _cums, _pack
 
 CANONICAL_VERTEX_CAP = 16
 
@@ -186,11 +186,6 @@ def canonical_key(g: Graph) -> str:
             f"canonical labeling cap is {CANONICAL_VERTEX_CAP} vertices, got {g.n}"
         )
     return _pack(g.n, _search(g.n, g.adjacency_masks()))
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-class representative, edges in graph6 (column-major) order."""
-    return parse_graph6(canonical_key(g))
 
 
 def is_edge_transitive(g: Graph) -> bool:

@@ -11,7 +11,6 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -53,28 +52,17 @@ def bipartite_distribution(s: int, t: int) -> ForestDistribution:
     return ForestDistribution(s + t, s * t, probs)
 
 
-def _check_q_args(s: int, t: int, a: int, b: int, l: int) -> None:
-    """The domain of Q_{s,t}(a,b,l); l = -1 is in it and gives 0 via _comb0."""
-    if s < 1 or t < 1 or not 0 <= a <= s or not 0 <= b <= t:
-        raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
-    if l < -1:
-        raise ParameterOutOfRange("l >= -1 required")
-
-
 def bipartite_q(s: int, t: int, a: int, b: int, l: int) -> Fraction:
     """Recurrence solution Q_{s,t}(a,b,l) = C(b,l)C(s+t-b-1,a-l)/C(s+t-1,a).
 
     Boundary values: Q(a,0,l) = Q(0,b,l) = [l = 0], and l = -1 gives 0 by
     convention.  The full-size value Q(s,t,s,t,k) equals P(K_{s,t}, k).
     """
-    _check_q_args(s, t, a, b, l)
+    if s < 1 or t < 1 or not 0 <= a <= s or not 0 <= b <= t:
+        raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
+    if l < -1:
+        raise ParameterOutOfRange("l >= -1 required")
     return Fraction(_comb0(b, l) * _comb0(s + t - b - 1, a - l), comb(s + t - 1, a))
-
-
-def bipartite_q_alt(s: int, t: int, a: int, b: int, l: int) -> Fraction:
-    """The symmetric form C(a,l)C(s+t-a-1,b-l)/C(s+t-1,b) of bipartite_q."""
-    _check_q_args(s, t, a, b, l)
-    return Fraction(_comb0(a, l) * _comb0(s + t - a - 1, b - l), comb(s + t - 1, b))
 
 
 def complete_expected_components(n: int) -> Fraction:
@@ -131,15 +119,7 @@ def path_distribution(n: int) -> ForestDistribution:
     return ForestDistribution(n + 1, n, dict(sorted(f[n].items())))
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Taylor coefficients of the path generating function Q at t = 0."""
-
-    x: float
-    coeffs: list[float]
-
-
-def path_series_coefficients(x: float, count: int) -> SeriesCoefficients:
+def path_series_coefficients(x: float, count: int) -> list[float]:
     """First `count` Taylor coefficients of Q(t) for a fixed x > 1.
 
     Computed by stepping the series form of the defining initial value
@@ -157,7 +137,7 @@ def path_series_coefficients(x: float, count: int) -> SeriesCoefficients:
         if n == 0:
             total += x - 1.0
         q.append(total / (n + 1))
-    return SeriesCoefficients(float(x), q)
+    return q
 
 
 def path_generating_value(x: float, t: float) -> float:

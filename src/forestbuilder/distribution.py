@@ -46,9 +46,6 @@ class ForestDistribution:
     def coefficient(self, k: int) -> Fraction:
         return self.probs.get(k, Fraction(0))
 
-    def support(self) -> list[int]:
-        return sorted(self.probs)
-
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
 
@@ -58,7 +55,3 @@ class ForestDistribution:
     def evaluate(self, x):
         """Value of the generating polynomial at x (Fraction or float)."""
         return sum(p * x**k for k, p in self.probs.items())
-
-    def same_polynomial(self, other: "ForestDistribution") -> bool:
-        """Coefficient equality; ignores n and m metadata."""
-        return self.probs == other.probs

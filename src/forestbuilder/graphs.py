@@ -48,14 +48,6 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set()
-
     def delete_edge(self, edge_id: int) -> "Graph":
         """Same vertex set, edge `edge_id` removed; later edges shift down."""
         if not 0 <= edge_id < self.m:
@@ -64,14 +56,6 @@ class Graph:
 
     def add_edge(self, u: int, v: int) -> "Graph":
         return from_edge_list(self.n, list(self.edges) + [(u, v)])
-
-    def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
-        """Apply vertex relabeling perm[old] = new, keeping edge list order."""
-        edges = []
-        for u, v in self.edges:
-            a, b = perm[u], perm[v]
-            edges.append((a, b) if a < b else (b, a))
-        return Graph(self.n, tuple(edges))
 
 
 def from_edge_list(n: int, pairs: list[tuple[int, int]]) -> Graph:
@@ -156,17 +140,18 @@ def components(g: Graph) -> list[Graph]:
     """The connected components that have edges, in order of least vertex.
 
     Each is relabelled 0..k-1 in vertex order and keeps its edges in the
-    original relative order; isolated vertices give no component.
+    original relative order; isolated vertices give no component.  Sweeps
+    start only at vertices with edges, so an isolated vertex costs one list
+    read, not a pass over an n-bit mask.
     """
     masks = g.adjacency_masks()
-    least = [0] * g.n  # vertex -> least vertex of its component
+    least = [-1] * g.n  # vertex -> least vertex of its component, -1 until swept
     index = [0] * g.n  # vertex -> its label within its component
     sizes = {}
-    unseen = (1 << g.n) - 1
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
+    for start, mask in enumerate(masks):
+        if not mask or least[start] >= 0:
+            continue
         rest = _reach(masks, start)
-        unseen ^= rest
         size = 0
         while rest:
             low = rest & -rest

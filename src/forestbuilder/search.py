@@ -16,7 +16,8 @@ neighbours v > u of k in increasing order, keeping each step that
 Kept graphs list their edges in graph6 order, as `parse_graph6` of their
 key would: a representative is a canonical form whose graph6 is its key.
 One source, `_classes`, enumerates the classes for every search and for the
-CLI tables, and it checks the size cap once, before building any level.
+CLI tables.  It checks the size cap once, before building any level, and
+walks `_grow` once, so each level is built once.
 Every search reports replayable records: graphs as graph6 strings plus the
 exact polynomials involved.
 """
@@ -41,14 +42,16 @@ TREE_VERTEX_CAP = 10
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 
 
-def _grow(n: int, tree: bool) -> list[Graph]:
-    """The canonical trees, or connected graphs, on n vertices, by (edge count, key).
+def _grow(n: int, tree: bool) -> Iterator[list[Graph]]:
+    """The canonical trees, or connected graphs, on 1..n vertices, a level at a time.
 
     A class on k + 1 vertices grows from its lexmax prefix on k vertices:
     a last vertex k is joined to one vertex, then (for connected graphs) to
     more, in increasing order, each step kept when it is its own lexmax form.
+    Levels come in the order they are built, and each is built once.
     """
     level = [Graph(1, ())]
+    yield level
     for k in range(1, n):
         # (form, vertex k's last neighbour), from vertex k still isolated
         step = [(Graph(k + 1, g.edges), -1) for g in level]
@@ -61,19 +64,26 @@ def _grow(n: int, tree: bool) -> list[Graph]:
                 if _is_lexmax(h := Graph(k + 1, g.edges + ((v, k),)))
             ]
             level += (h for h, _ in step)
-    return sorted(level, key=lambda g: (g.m, serialize_graph6(g)))
+        yield level
 
 
 def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph]]]:
     """(n, representatives) of the "connected" graphs or "tree"s on first..last vertices.
 
     The one check of each kind's size range, made on the call, before any class is built.
+    One walk of `_grow` builds every level up to `last` (none for an empty range), and
+    only the levels handed out are sorted, by (edge count, key).
     """
     tree = kind == "tree"
     low, cap = (1, TREE_VERTEX_CAP) if tree else (2, SEARCH_VERTEX_CAP)
     if not low <= last <= cap:
         raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
-    return ((n, _grow(n, tree)) for n in range(first, last + 1))
+    levels = enumerate(_grow(last, tree), 1) if first <= last else ()
+    return (
+        (n, sorted(level, key=lambda g: (g.m, serialize_graph6(g))))
+        for n, level in levels
+        if n >= first
+    )
 
 
 def enumerate_connected_graphs(n: int) -> list[Graph]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from forestbuilder.engine import PolynomialEngine
-from forestbuilder.search import enumerate_connected_graphs
+from forestbuilder.search import _classes
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +19,8 @@ def engine():
 
 @pytest.fixture(scope="session")
 def connected_classes():
-    """Connected isomorphism class representatives keyed by vertex count."""
-    return {n: tuple(enumerate_connected_graphs(n)) for n in range(2, 8)}
+    """Connected isomorphism class representatives keyed by vertex count, from one walk."""
+    return {n: tuple(level) for n, level in _classes("connected", 2, 7)}
 
 
 @pytest.fixture(scope="session")

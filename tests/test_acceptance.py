@@ -10,16 +10,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+from forestbuilder.canon import canonical_key
 from forestbuilder.closedforms import (
     bipartite_distribution,
     bipartite_q,
-    bipartite_q_alt,
     complete_distribution,
     gnm_expectation_lower_bound,
     gnm_expected_components,
     path_distribution,
     path_series_coefficients,
 )
+from forestbuilder.distribution import ForestDistribution, convolve
 from forestbuilder.engine import (
     brute_force_distribution,
     expected_components,
@@ -33,9 +34,8 @@ from forestbuilder.families import (
     path_graph,
     star_graph,
 )
-from forestbuilder.graphs import Graph
+from forestbuilder.graphs import Graph, components
 from forestbuilder.montecarlo import estimate_distribution, single_component_decay
-from forestbuilder.recurrence import recurrence_distribution
 from forestbuilder.search import (
     check_conjecture,
     enumerate_trees,
@@ -45,6 +45,57 @@ from forestbuilder.search import (
 )
 
 CALIBRATION_SEED = 20260815
+
+
+def recurrence_distribution(
+    g: Graph, memo: dict[str, dict[int, Fraction]] | None = None
+) -> ForestDistribution:
+    """Oracle: exact p_G by the edge-deletion recurrence, independent of the engine.
+
+        p_G = p_{G1} * p_{G2} * ...          over connected components,
+        p_G = (1/m) * sum_e p_{G - e}        for a component with >= 2 edges,
+        p_{K_2} = x,
+
+    since the last edge e of a uniform ordering is uniform, and in a connected
+    graph with at least two edges an earlier edge touches one of its endpoints,
+    so e starts no tree and kappa is that of the rest of the ordering on G - e.
+    `memo` maps canonical keys to component laws, so inputs are limited to the
+    canonical vertex cap; pass one dict to several calls to share their
+    subresults.  The cost grows with the number of distinct subgraphs, so it
+    runs on small graphs only.
+    """
+    memo = {} if memo is None else memo
+
+    def product(h: Graph) -> dict[int, Fraction]:
+        acc = {0: Fraction(1)}
+        for piece in components(h):
+            acc = convolve(acc, component(piece))
+        return acc
+
+    def component(comp: Graph) -> dict[int, Fraction]:
+        if comp.m == 1:
+            return {1: Fraction(1)}
+        key = canonical_key(comp)
+        if key not in memo:
+            acc: dict[int, Fraction] = {}
+            for eid in range(comp.m):
+                for k, p in product(comp.delete_edge(eid)).items():
+                    acc[k] = acc.get(k, Fraction(0)) + p
+            memo[key] = {k: p / comp.m for k, p in sorted(acc.items()) if p}
+        return memo[key]
+
+    probs = {k: p for k, p in product(g).items() if k > 0}
+    return ForestDistribution(g.n, g.m, probs)
+
+
+def bipartite_q_alt(s: int, t: int, a: int, b: int, l: int) -> Fraction:
+    """Oracle: the symmetric form C(a,l)C(s+t-a-1,b-l)/C(s+t-1,b) of bipartite_q.
+
+    Defined on the domain of bipartite_q, where l = -1 gives 0.
+    """
+    if not 0 <= l <= b:
+        return Fraction(0)
+    return Fraction(comb(a, l) * comb(s + t - a - 1, b - l), comb(s + t - 1, b))
 
 
 def test_complete_tripartite_flagship_distribution(engine):
@@ -109,6 +160,7 @@ def test_bipartite_recurrence_step_and_symmetric_form():
         for t in range(1, 9):
             for a in range(1, s + 1):
                 for b in range(1, t + 1):
+                    assert bipartite_q(s, t, a, b, -1) == bipartite_q_alt(s, t, a, b, -1) == 0
                     for l in range(min(a, b) + 2):
                         lhs = (a * t + b * s - a * b) * bipartite_q(s, t, a, b, l)
                         rhs = (
@@ -147,7 +199,7 @@ def test_random_graph_expectation_dominates_bound():
 
 def test_path_series_matches_exact_evaluations():
     for x in (2, 5):
-        series = path_series_coefficients(float(x), 11).coeffs
+        series = path_series_coefficients(float(x), 11)
         assert series[0] == 1.0
         for n in range(1, 11):
             exact = path_distribution(n).evaluate(Fraction(x))

@@ -11,7 +11,6 @@ from forestbuilder.closedforms import (
     bipartite_distribution,
     bipartite_expected_components,
     bipartite_q,
-    bipartite_q_alt,
     complete_distribution,
     complete_expected_components,
     cycle_single_component,
@@ -73,8 +72,6 @@ def test_q_boundary_and_conventions():
                 for l in range(3):
                     assert bipartite_q(s, t, 0, b, l) == (1 if l == 0 else 0)
             assert bipartite_q(s, t, s, t, -1) == 0
-            assert bipartite_q_alt(s, t, s, t, -1) == 0
-            assert bipartite_q(s, t, s, t, 0) == bipartite_q_alt(s, t, s, t, 0)
 
 
 def test_q_rejects_out_of_range_arguments():
@@ -87,9 +84,7 @@ def test_q_rejects_out_of_range_arguments():
     with pytest.raises(ParameterOutOfRange, match="l >= -1 required"):
         bipartite_q(2, 2, 2, 2, -2)
     with pytest.raises(ParameterOutOfRange, match="0 <= b <= t"):
-        bipartite_q_alt(2, 2, 2, 3, 1)
-    with pytest.raises(ParameterOutOfRange, match="l >= -1 required"):
-        bipartite_q_alt(2, 2, 2, 2, -2)
+        bipartite_q(2, 2, 2, 3, 1)
 
 
 def test_expectation_formulas():
@@ -143,9 +138,8 @@ def test_path_distribution_small_and_oracle():
 
 def test_series_coefficients_start_at_known_values():
     series = path_series_coefficients(2.0, 5)
-    assert series.x == 2.0
-    assert series.coeffs[0] == 1.0
-    assert series.coeffs[1] == pytest.approx(2.0)
+    assert series[0] == 1.0
+    assert series[1] == pytest.approx(2.0)
     with pytest.raises(InvalidParameter):
         path_series_coefficients(1.0, 5)
     with pytest.raises(InvalidParameter):
@@ -154,7 +148,7 @@ def test_series_coefficients_start_at_known_values():
 
 def test_series_sums_to_tangent_closed_form():
     for x in (2.0, 5.0):
-        series = path_series_coefficients(x, 18).coeffs
+        series = path_series_coefficients(x, 18)
         for t in (0.01, 0.05):
             partial = sum(c * t**i for i, c in enumerate(series))
             assert math.isclose(partial, path_generating_value(x, t), rel_tol=1e-9)

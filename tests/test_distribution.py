@@ -32,15 +32,8 @@ def test_distribution_accessors():
     d = ForestDistribution(4, 3, {1: Fraction(2, 3), 2: Fraction(1, 3)})
     assert d.coefficient(1) == Fraction(2, 3)
     assert d.coefficient(5) == 0
-    assert d.support() == [1, 2]
     assert d.total() == 1
     assert d.expected_components() == Fraction(4, 3)
     assert d.evaluate(Fraction(1)) == 1
     assert d.evaluate(2) == Fraction(8, 3)
 
-
-def test_same_polynomial_ignores_metadata():
-    a = ForestDistribution(4, 4, {1: Fraction(2, 3), 2: Fraction(1, 3)})
-    b = ForestDistribution(4, 3, {1: Fraction(2, 3), 2: Fraction(1, 3)})
-    assert a.same_polynomial(b)
-    assert not a.same_polynomial(ForestDistribution(4, 3, {1: Fraction(1)}))

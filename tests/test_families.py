@@ -34,8 +34,8 @@ def test_complete_bipartite_parts():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.m == 6
     assert g.degrees() == [3, 3, 2, 2, 2]
-    assert not g.has_edge(0, 1) and not g.has_edge(2, 3)
-    assert g.has_edge(0, 2)
+    assert (0, 1) not in g.edges and (2, 3) not in g.edges
+    assert (0, 2) in g.edges
     with pytest.raises(InfeasibleSpec):
         complete_bipartite(0, 3)
 
@@ -70,7 +70,7 @@ def test_path_cycle_star():
 def test_balanced_bipartite_plus_edge():
     g = balanced_bipartite_plus_edge(2)
     assert g.n == 5 and g.m == 7
-    assert g.has_edge(2, 3)  # the extra edge sits inside the larger part
+    assert (2, 3) in g.edges  # the extra edge sits inside the larger part
     assert sorted(g.degrees()) == [2, 3, 3, 3, 3]
     with pytest.raises(InfeasibleSpec):
         balanced_bipartite_plus_edge(0)
@@ -83,7 +83,7 @@ def test_gnm_deterministic_and_valid():
     for s in range(20):
         g = gnm_random_graph(6, 9, seed=s)
         assert g.n == 6 and g.m == 9
-        assert len(g.edge_set()) == 9
+        assert len(set(g.edges)) == 9
     assert gnm_random_graph(4, 6, seed=3) == complete_graph(4)
     assert gnm_random_graph(5, 0, seed=3).m == 0
     with pytest.raises(InfeasibleSpec):

@@ -51,7 +51,7 @@ def test_round_trip_random_graphs():
         assert text == _packed_bit_by_bit(g)
         back = parse_graph6(text)
         assert back.n == g.n
-        assert back.edge_set() == g.edge_set()
+        assert set(back.edges) == set(g.edges)
 
 
 def test_serialize_after_parse_is_identity():

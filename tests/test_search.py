@@ -140,9 +140,10 @@ def test_orderly_generation_keeps_each_class_once_in_canonical_form():
     assert [len(level) for level in tree_levels] == TREE_CLASS_COUNTS
 
 
-def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, connected_classes):
+def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, engine, connected_classes):
     # one test per child, a neighbour of the last vertex after its latest
-    # one: 2,009 at n = 7 (over every level from 2 vertices), 995 accepted
+    # one: 2,009 at n = 7 (over every level from 2 vertices), 995 accepted;
+    # a sweep over 2..7 vertices builds each level once, so it makes no more
     calls = []
     real_is_lexmax = search._is_lexmax
 
@@ -153,11 +154,14 @@ def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, connected_classe
     monkeypatch.setattr(search, "_is_lexmax", counting)
     assert tuple(enumerate_connected_graphs(7)) == connected_classes[7]
     assert (len(calls), sum(calls)) == (2009, 995)
+    calls.clear()
+    assert sweep_log_concavity(7, engine) == []
+    assert (len(calls), sum(calls)) == (2009, 995)
 
 
 def test_grow_reaches_every_connected_graph_on_eight_vertices():
     # past SEARCH_VERTEX_CAP: A001349(8) = 11,117 connected classes
-    graphs = search._grow(8, False)
+    *_, graphs = search._grow(8, False)
     assert len(graphs) == 11117
     assert all(map(is_connected, graphs))
 
