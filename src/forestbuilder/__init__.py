@@ -3,11 +3,11 @@
 Scan a uniformly random ordering of a graph's edges and keep each edge that
 touches at least one vertex untouched by the earlier kept edges; the kept
 edges form a spanning forest.  This package computes the distribution of
-the forest's component count exactly (local-minimum sums over the matchings
-of the line graph, with brute force over all orderings as an oracle; the
-test suite keeps the edge-deletion recurrence as a second), evaluates the
-known closed forms, estimates by seeded simulation, and searches small
-graphs for distribution coincidences.
+the forest's component count exactly (local-minimum sums keyed by the
+vertex sets that matchings cover, with brute force over all orderings as an
+oracle; the test suite keeps the edge-deletion recurrence and the sums over
+matchings as two more), evaluates the known closed forms, estimates by
+seeded simulation, and searches small graphs for distribution coincidences.
 """
 
 from .distribution import ForestDistribution, convolve, format_fraction, parse_fraction

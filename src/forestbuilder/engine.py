@@ -8,21 +8,21 @@ untouched exactly when it comes first among the edges at both endpoints, so
 kappa is the number of local minima of a uniform order on the line graph.
 
 Exact distributions come from DFS over all m! orderings (the oracle, capped
-at 10 edges) and from local-minimum sums over matchings.  For a matching S
-of one connected component with m edges, let U(S) be the union of the
-closed line-graph neighbourhoods of its edges.  The edge of U(S) that comes
-first must be in S, so
+at 10 edges) and from sums over covered vertex sets.  In a connected
+component with m edges, let C(S) count the orderings in which every edge of
+a matching S is a local minimum.  The first of the edges U(S) that touch
+W = V(S) must be in S, so C(S) = sum_{e in S} C(S - e) / |U(S)|, and the
+sum D(W) of C(S) over the perfect matchings S of G[W] obeys
 
-    C(empty) = m!,    C(S) = sum_{e in S} C(S - e) / |U(S)|,
+    D(empty) = m!,    D(W) = sum_{uv in E(G[W])} D(W - u - v) / |U(W)|,
 
-where C(S) counts the orderings in which every edge of S is a local
-minimum; each division is exact.  With E_j the sum of C(S) over j-edge
-matchings, E_j / m! = E[binom(kappa, j)] and inclusion-exclusion gives
+each division exact.  With E_j the sum of D(W) over the sets of 2j
+vertices, E_j / m! = E[binom(kappa, j)] and inclusion-exclusion gives
 
     P(kappa = k) = sum_j (-1)^(j-k) binom(j, k) E_j / m!.
 
 Components are solved one at a time and their laws convolved, so the cost
-is the number of matchings of the largest component.
+is the number of covered sets of the largest component.
 """
 
 from __future__ import annotations
@@ -133,19 +133,20 @@ def expected_components(g: Graph) -> Fraction:
 class PolynomialEngine:
     """Evaluator for exact distributions and one-component values.
 
-    Each connected component is solved by the matching sums of the module
-    docstring.  Solved laws are kept in one cache keyed by the labelled
-    edge set (vertex count plus edge bitmask), so a sweep that meets the
-    same labelled component twice solves it once, and P(G,1) is read from
-    the cached law of G.
+    Each connected component is solved by the covered-set sums of the
+    module docstring, and its law is cached by labelled edge set (vertex
+    count plus edge bitmask): a sweep that meets the same labelled
+    component twice solves it once, and P(G,1) is read from G's law.
 
-    `max_memo_entries` bounds the matchings held at once while solving (two
-    levels, j-1 and j edges) and the entries of the law cache; exceeding it
-    raises MemoryBudgetExceeded rather than thrashing.  It counts
-    matchings, not bytes: each held matching carries an integer of about
-    log2(m!) bits and its m-bit free set E - U(S), so a solve near the 2^20
-    default can hold about a quarter of a gigabyte (K_13, at about 405k
-    matchings, peaks at 105 MB).
+    `max_memo_entries` bounds the covered sets held at once while solving
+    (two levels) and the entries of the law cache; exceeding it raises
+    MemoryBudgetExceeded rather than thrashing.  Sets are counted as they are
+    inserted, and first by closed-form lower bounds L_j on the level sizes:
+    with Delta the maximum degree, a set on 2j vertices keeps at least
+    m - j(2 Delta - 1) free edges and one on 2j + 2 is reached from at most
+    C(2j + 2, 2) pairs, so L_0 = 1, L_{j+1} = L_j max(m - j(2 Delta - 1), 0)
+    // C(2j + 2, 2).  The budget counts sets, not bytes: each holds an integer
+    of about log2(m!) bits and an m-bit free set (K_20: 310,726 sets, 146 MB).
     """
 
     def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
@@ -176,66 +177,65 @@ class PolynomialEngine:
 
     def _component_law(self, comp: Graph) -> dict[int, Fraction]:
         """The law of a connected component, solved once per labelled edge set."""
-        mask = 0
-        for u, v in comp.edges:
-            mask |= 1 << (v * (v - 1) // 2 + u)
-        key = (comp.n, mask)
+        key = (comp.n, sum(1 << (v * (v - 1) // 2 + u) for u, v in comp.edges))
         law = self._laws.get(key)
         if law is None:
             if len(self._laws) >= self.max_memo_entries:
                 raise MemoryBudgetExceeded(
                     f"memo budget of {self.max_memo_entries} entries exhausted"
                 )
-            law = self._laws[key] = _law(self._matching_sums(comp))
+            law = self._laws[key] = _law(self._covered_sums(comp))
         return law
 
-    def _matching_sums(self, comp: Graph) -> list[int]:
-        """[E_0, E_1, ...] for a connected component, one matching level at a time.
+    def _covered_sums(self, comp: Graph) -> list[int]:
+        """[E_0, E_1, ...] for a connected component, one covered-set level at a time.
 
-        A matching is an edge-id bitmask built from the matching without its
-        highest edge, so each is made once.  Each level keeps the free sets
-        F(S) = E - U(S) in a list aligned with its dict's insertion order,
-        and S + e gets F(S) & ~closed[e], with |U| = m - |F|.  Building a
-        level counts it and the next, for the budget check before the next.
+        Level j maps each 2j-vertex bitmask W to [D(W), F(W)], F(W) = E - U(W).
+        D(W) is pushed along each free edge into W plus its ends, storing F(W)
+        less the edges at those ends on first insert, and divided by m - |F|
+        once its level is complete.
         """
+        m = comp.m
+        floor, j, reach = 1, 0, 2 * max(comp.degrees()) - 1
+        while floor:
+            step = floor * max(m - j * reach, 0) // comb(2 * j + 2, 2)
+            if floor + step > self.max_memo_entries:
+                raise self._exhausted(f"at least {floor + step}", j)
+            floor, j = step, j + 1
         at = [0] * comp.n
         for eid, (u, v) in enumerate(comp.edges):
             at[u] |= 1 << eid
             at[v] |= 1 << eid
-        closed = {1 << eid: at[u] | at[v] for eid, (u, v) in enumerate(comp.edges)}
-        m = comp.m
-        level = {0: factorial(m)}
-        frees = [(1 << m) - 1]
-        held = 1 + m
-        sums = [level[0]]
-        while True:
-            if held > self.max_memo_entries:
-                raise MemoryBudgetExceeded(
-                    f"matching budget of {self.max_memo_entries} entries exhausted: "
-                    f"{held} matchings of {len(sums) - 1} and {len(sums)} edges at once"
-                )
-            nxt: dict[int, int] = {}
-            nxt_frees = []
-            held = 0
-            for (s, c), free in zip(level.items(), frees):
-                grow = free & -(1 << s.bit_length())
+        ends = [(1 << u) | (1 << v) for u, v in comp.edges]
+        apart = [~(at[u] | at[v]) for u, v in comp.edges]
+        level = {0: [factorial(m), (1 << m) - 1]}
+        sums = []
+        while level:
+            sums.append(sum(d for d, _ in level.values()))
+            nxt: dict[int, list[int]] = {}
+            for w, (d, free) in level.items():
+                grow = free
                 while grow:
                     low = grow & -grow
                     grow ^= low
-                    key = s | low
-                    total, rest = c, s
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        total += level[key ^ bit]
-                    left = free & ~closed[low]
-                    nxt[key] = total // (m - left.bit_count())
-                    nxt_frees.append(left)
-                    held += 1 + (left & -(low << 1)).bit_count()
-            if not nxt:
-                return sums
-            sums.append(sum(nxt.values()))
-            level, frees = nxt, nxt_frees
+                    eid = low.bit_length() - 1
+                    key = w | ends[eid]
+                    state = nxt.get(key)
+                    if state is not None:
+                        state[0] += d
+                    elif len(level) + len(nxt) < self.max_memo_entries:
+                        nxt[key] = [d, free & apart[eid]]
+                    else:
+                        raise self._exhausted(self.max_memo_entries + 1, len(sums) - 1)
+            for state in nxt.values():
+                state[0] //= m - state[1].bit_count()
+            level = nxt
+        return sums
+
+    def _exhausted(self, held: int | str, j: int) -> MemoryBudgetExceeded:
+        budget = self.max_memo_entries
+        sets = f"{held} covered sets of {2 * j} and {2 * j + 2} vertices at once"
+        return MemoryBudgetExceeded(f"matching budget of {budget} entries exhausted: {sets}")
 
     def memo_sizes(self) -> tuple[int]:
         """The number of cached component laws, as a one-element tuple."""

@@ -106,8 +106,10 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     are rejected wholesale, so conditioned on acceptance the simple graphs
     appear with the pairing-model weights.  d = n - 1 returns K_n, the one
     such graph, which the pairing model almost never draws simple for
-    n >= 7.  Raises GenerationTimeout after a retry budget, InfeasibleSpec
-    when n*d is odd or d >= n.
+    n >= 7.  When the retry budget runs out and d > n - 1 - d, the result is
+    the complement of the (n - 1 - d)-regular graph of the same seed; every
+    spec the pairing model draws keeps its graph.  Raises GenerationTimeout
+    when that fails too, InfeasibleSpec when n*d is odd or d >= n.
     """
     if n < 1 or d < 0:
         raise InfeasibleSpec("regular graph needs n >= 1 and d >= 0")
@@ -136,6 +138,10 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
             edges.add((u, v))
         if ok:
             return Graph(n, tuple(sorted(edges)))
+    if n - 1 - d < d:
+        sparse = set(random_regular_graph(n, n - 1 - d, seed).edges)
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return Graph(n, tuple(e for e in pairs if e not in sparse))
     raise GenerationTimeout(
         f"no simple pairing found for n={n}, d={d} in {_REGULAR_RETRY_CAP} tries"
     )

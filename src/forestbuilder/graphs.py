@@ -120,46 +120,46 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reach(masks: list[int], start: int) -> int:
-    """Bitmask of the vertices reachable from `start` over neighbor bitmasks."""
-    seen = frontier = 1 << start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = masks[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen
+def _least(g: Graph) -> list[int]:
+    """Each vertex's least component-mate, or -1 for an isolated vertex.
+
+    Adjacency lists are kept only for vertices with edges: linear in n + m.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    least = [-1] * g.n
+    for start in range(g.n):
+        if least[start] < 0 and start in adj:
+            least[start] = start
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if least[w] < 0:
+                        least[w] = start
+                        stack.append(w)
+    return least
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or _reach(g.adjacency_masks(), 0) == (1 << g.n) - 1
+    # a connected graph on n vertices has at least n - 1 edges
+    return g.n <= 1 or (g.m >= g.n - 1 and _least(g).count(0) == g.n)
 
 
 def components(g: Graph) -> list[Graph]:
     """The connected components that have edges, in order of least vertex.
 
     Each is relabelled 0..k-1 in vertex order and keeps its edges in the
-    original relative order; isolated vertices give no component.  Sweeps
-    start only at vertices with edges, so an isolated vertex costs one list
-    read, not a pass over an n-bit mask.
+    original relative order; isolated vertices give no component.
     """
-    masks = g.adjacency_masks()
-    least = [-1] * g.n  # vertex -> least vertex of its component, -1 until swept
+    least = _least(g)
     index = [0] * g.n  # vertex -> its label within its component
-    sizes = {}
-    for start, mask in enumerate(masks):
-        if not mask or least[start] >= 0:
-            continue
-        rest = _reach(masks, start)
-        size = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            least[v], index[v] = start, size
-            size += 1
-        sizes[start] = size
+    sizes: dict[int, int] = {}
+    for v, root in enumerate(least):
+        if root >= 0:
+            index[v] = sizes.get(root, 0)
+            sizes[root] = index[v] + 1
     edges: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges:
         edges.setdefault(least[u], []).append((index[u], index[v]))

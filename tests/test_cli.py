@@ -388,8 +388,9 @@ def test_seeds_outside_sixty_four_bits_are_usage_errors(capsys):
 
 
 def test_poly_past_the_matching_budget_exits_one(capsys):
-    # K_60 has 1,462,905 matchings of two edges, past the default 2^20
-    # budget; the level is counted before it is built, so this fails fast
+    # K_60 has C(60, 6) = 50,063,860 covered sets of six vertices, past the
+    # default 2^20 budget; the closed-form lower bound on the level sizes
+    # stops it before any level is built
     assert run(["poly", "--family", "kn", "--n", "60"]) == 1
     assert "matching budget of 1048576 entries exhausted" in capsys.readouterr().err
 

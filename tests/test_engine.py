@@ -3,9 +3,11 @@
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from time import perf_counter
 
 import pytest
 
+from forestbuilder.closedforms import bipartite_distribution, complete_distribution
 from forestbuilder.distribution import convolve
 from forestbuilder.engine import (
     PolynomialEngine,
@@ -33,6 +35,54 @@ from forestbuilder.families import (
 )
 from forestbuilder.graphs import Graph, from_edge_list
 from forestbuilder.rng import SplitMix64, derive_seed
+
+
+def matching_sums_oracle(comp):
+    """Oracle: [E_0, E_1, ...] of a connected graph summed over its matchings.
+
+    One state per matching S, as an edge-id bitmask, with C(empty) = m! and
+    C(S) = sum_{e in S} C(S - e) / |U(S)|, where U(S) is the set of edges that
+    touch S; E_j sums C over the j-edge matchings.  The engine keys the same
+    sums by covered vertex set instead.  Each matching is built once, from the
+    matching without its highest edge, and each level keeps the free sets
+    E - U(S) in a list aligned with its dict's insertion order.
+    """
+    at = [0] * comp.n
+    for eid, (u, v) in enumerate(comp.edges):
+        at[u] |= 1 << eid
+        at[v] |= 1 << eid
+    closed = {1 << eid: at[u] | at[v] for eid, (u, v) in enumerate(comp.edges)}
+    m = comp.m
+    level = {0: factorial(m)}
+    frees = [(1 << m) - 1]
+    sums = [level[0]]
+    while True:
+        nxt, nxt_frees = {}, []
+        for (s, c), free in zip(level.items(), frees):
+            grow = free & -(1 << s.bit_length())
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                key = s | low
+                total, rest = c, s
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    total += level[key ^ bit]
+                left = free & ~closed[low]
+                nxt[key] = total // (m - left.bit_count())
+                nxt_frees.append(left)
+        if not nxt:
+            return sums
+        sums.append(sum(nxt.values()))
+        level, frees = nxt, nxt_frees
+
+
+def prism_graph(k):
+    """C_k x K_2: rims 0..k-1 and k..2k-1, rung i joins i and k + i."""
+    rims = [(i, (i + 1) % k) for i in range(k)]
+    rungs = [(i, k + i) for i in range(k)]
+    return from_edge_list(2 * k, rims + [(k + u, k + v) for u, v in rims] + rungs)
 
 
 def _assert_spanning_forest(g, result):
@@ -258,13 +308,18 @@ def test_memoization_controls():
 @pytest.mark.parametrize(
     "g, budget, message",
     [
-        (complete_graph(5), 2, "11 matchings of 0 and 1 edges at once"),
-        (random_regular_graph(10, 3, 0), 15, "16 matchings of 0 and 1 edges at once"),
-        (random_regular_graph(10, 3, 0), 60, "90 matchings of 1 and 2 edges at once"),
-        (random_regular_graph(10, 3, 0), 120, "219 matchings of 2 and 3 edges at once"),
-        # one short of the most this graph holds at once
-        (random_regular_graph(10, 3, 0), 232, "233 matchings of 3 and 4 edges at once"),
+        # the closed-form lower bound: 1 empty set and one set per edge
+        (complete_graph(5), 2, "at least 11 covered sets of 0 and 2 vertices at once"),
+        (
+            random_regular_graph(10, 3, 0),
+            15,
+            "at least 16 covered sets of 0 and 2 vertices at once",
+        ),
+        # the exact count, which raises on the first set past the budget
+        (random_regular_graph(10, 3, 0), 60, "61 covered sets of 2 and 4 vertices at once"),
+        (random_regular_graph(10, 3, 0), 120, "121 covered sets of 4 and 6 vertices at once"),
     ],
+    ids=["k5-2", "cubic10-15", "cubic10-60", "cubic10-120"],
 )
 def test_matching_budget_messages_are_pinned(g, budget, message):
     with pytest.raises(MemoryBudgetExceeded) as caught:
@@ -273,8 +328,39 @@ def test_matching_budget_messages_are_pinned(g, budget, message):
 
 
 def test_cubic_graph_solves_at_exactly_its_matching_need():
+    # covered sets by level: 1, 15, 73, 123, 45, 1, so at most 73 + 123 at once
     g = random_regular_graph(10, 3, 0)
-    assert PolynomialEngine(max_memo_entries=233).distribution(g).total() == 1
+    with pytest.raises(MemoryBudgetExceeded) as caught:
+        PolynomialEngine(max_memo_entries=195).distribution(g)
+    assert str(caught.value) == (
+        "matching budget of 195 entries exhausted: 196 covered sets of 4 and 6 vertices at once"
+    )
+    assert PolynomialEngine(max_memo_entries=196).distribution(g).total() == 1
+
+
+def test_the_lower_bound_stops_large_complete_graphs_at_once():
+    # K_50 has C(50, 6) covered sets of six vertices; the closed-form bound
+    # sees more than 2^20 before any level is built
+    t0 = perf_counter()
+    with pytest.raises(MemoryBudgetExceeded) as caught:
+        PolynomialEngine().distribution(complete_graph(50))
+    assert perf_counter() - t0 < 1.0
+    assert str(caught.value).startswith("matching budget of 1048576 entries exhausted: at least ")
+
+
+def test_kernel_matches_the_matching_sum_oracle(connected_classes):
+    engine = PolynomialEngine()
+    graphs = [g for n in range(2, 8) for g in connected_classes[n]]
+    assert len(graphs) == 995
+    graphs += [random_regular_graph(20, 3, 0), prism_graph(10)]
+    for g in graphs:
+        assert engine._covered_sums(g) == matching_sums_oracle(g)
+
+
+def test_k16_and_k89_solve_at_the_default_budget():
+    # dense graphs: their covered sets are far fewer than their matchings
+    assert forest_polynomial(complete_graph(16)) == complete_distribution(16)
+    assert forest_polynomial(complete_bipartite(8, 9)) == bipartite_distribution(8, 9)
 
 
 def test_connected_distribution_does_not_hand_out_the_cached_law():

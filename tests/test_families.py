@@ -18,6 +18,7 @@ from forestbuilder.families import (
     random_regular_graph,
     star_graph,
 )
+from forestbuilder.graph6 import serialize_graph6
 from forestbuilder.rng import SplitMix64, derive_seed
 
 
@@ -142,3 +143,15 @@ def test_random_regular_of_degree_n_minus_one_is_complete():
     for n in range(4, 13):
         for seed in (1, 2):
             assert random_regular_graph(n, n - 1, seed).edges == complete_graph(n).edges
+
+
+def test_dense_regular_specs_fall_back_to_the_sparse_complement():
+    # the pairing model draws no simple graph for these in its retry budget
+    for n, d in ((10, 7), (9, 6), (12, 9)):
+        g = random_regular_graph(n, d, seed=1)
+        assert g.degrees() == [d] * n
+        assert len(set(g.edges)) == g.m and all(u < v for u, v in g.edges)
+        sparse = set(random_regular_graph(n, n - 1 - d, seed=1).edges)
+        assert set(g.edges) == set(complete_graph(n).edges) - sparse
+    # a dense spec the pairing model does draw keeps its graph
+    assert serialize_graph6(random_regular_graph(8, 5, seed=1)) == "GV~fI{"

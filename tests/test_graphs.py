@@ -124,6 +124,13 @@ def test_components_skip_isolated_vertices():
     t0 = perf_counter()
     assert forest_polynomial(Graph(10**6, ((0, 1),))).probs == {1: 1}
     assert perf_counter() - t0 < 1.0
+    # 50,000 separate edges are split in time and memory linear in n + m,
+    # not by one n-bit neighbour mask per vertex
+    matching = Graph(100_000, tuple((v, v + 1) for v in range(0, 100_000, 2)))
+    t0 = perf_counter()
+    assert not is_connected(matching)
+    assert forest_polynomial(matching).probs == {50_000: 1}
+    assert perf_counter() - t0 < 1.5
 
 
 def test_components_partition_the_edges_of_random_graphs():
