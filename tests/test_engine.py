@@ -1,7 +1,7 @@
 """Process runner, brute-force oracle, and the exact evaluator PolynomialEngine."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 from time import perf_counter
 
@@ -318,12 +318,29 @@ def test_memoization_controls():
         # the exact count, which raises on the first set past the budget
         (random_regular_graph(10, 3, 0), 60, "61 covered sets of 2 and 4 vertices at once"),
         (random_regular_graph(10, 3, 0), 120, "121 covered sets of 4 and 6 vertices at once"),
+        # one short of the 233 matchings of 3 and 4 edges that the matching
+        # sums held at once: the covered sets fit, so nothing is raised
+        (random_regular_graph(10, 3, 0), 232, None),
     ],
-    ids=["k5-2", "cubic10-15", "cubic10-60", "cubic10-120"],
+    ids=[
+        "k5-2",
+        "cubic10-15",
+        "cubic10-60",
+        "cubic10-120",
+        "g4-232-233 matchings of 3 and 4 edges at once",
+    ],
 )
 def test_matching_budget_messages_are_pinned(g, budget, message):
+    engine = PolynomialEngine(max_memo_entries=budget)
+    if message is None:
+        def matchings(k):
+            return sum(len({x for e in s for x in e}) == 2 * k for s in combinations(g.edges, k))
+
+        assert matchings(3) + matchings(4) == budget + 1
+        assert engine.distribution(g).total() == 1
+        return
     with pytest.raises(MemoryBudgetExceeded) as caught:
-        PolynomialEngine(max_memo_entries=budget).distribution(g)
+        engine.distribution(g)
     assert str(caught.value) == f"matching budget of {budget} entries exhausted: {message}"
 
 
