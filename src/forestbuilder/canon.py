@@ -8,8 +8,11 @@ against the best complete ordering found so far.  Three prunings keep
 symmetric inputs from exploding factorially:
 
 * prefix pruning: a partial ordering whose bits fall below the incumbent's
-  at the current depth cannot lead to a maximum, and siblings are scanned in
-  decreasing bit order so the whole remainder of the candidate list dies;
+  at the current depth cannot lead to a maximum.  So a node tries only the
+  unplaced vertices whose column against the placed prefix is largest,
+  found in one sweep over the prefix: each placed vertex in turn keeps the
+  candidates adjacent to it, when there are any.  Their shared string so
+  far is compared once with the incumbent's;
 * twin pruning: two unplaced twins (N(u) minus v equals N(v) minus u) are
   swapped by an automorphism that fixes the placed prefix, so only one
   vertex per twin class is tried at each node;
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from .errors import SizeCapExceeded
 from .graphs import Graph
-from .graph6 import _cums, _pack
+from .graph6 import _bits, _pack
 
 CANONICAL_VERTEX_CAP = 16
 
@@ -82,40 +85,42 @@ def _twin_masks(masks: list[int]) -> list[int]:
 
 
 class _Beaten(Exception):
-    """A partial ordering's bits exceed those of the target ordering."""
+    """A partial ordering's bits exceed those of the identity ordering."""
 
 
 def _search(
-    n: int, masks: list[int], target: list[int] | None = None, first: int = 0
+    n: int, masks: list[int], target: int | None = None, first: int = 0
 ) -> int:
     """Return the lexmax graph6 bit string over orderings of the vertices.
 
     That is the whole string of the best ordering (0 when n = 0); the
     ordering itself stays inside, where the automorphism pruning needs it.
-    Given a `target` ordering, the search starts with it as the incumbent,
-    so it walks only the branches tied with it, and raises `_Beaten` as
-    soon as one beats it: `target` is canonical exactly when it returns.
+    Given `target`, the identity ordering's string, the search starts with
+    that ordering as the incumbent, so it walks only the branches tied with
+    it, and raises `_Beaten` as soon as one beats it: the identity is
+    canonical exactly when it returns.
     Given `first`, a bitmask of two vertices, it returns the best string
     over the orderings that place those two first.
-    The automorphisms it prunes with are twin swaps and vertex maps
-    discovered at tie leaves.  Inner loops are written for speed: vertex
-    sets are bitmasks where they are tested, and the one-bit-per-vertex
-    update is undone by shifting back rather than saving.
+    A node finds the unplaced vertices with the largest column in one sweep
+    over the placed prefix (any other vertex can only lose), compares the
+    string so far once with the incumbent's, then tries those vertices in
+    ascending order, pruned by twin swaps and by vertex maps discovered at
+    tie leaves.
     """
-    best_perm = target
-    best_cums = [] if target is None else _cums(masks, target)
+    full = (1 << n) - 1
+    best_perm = None if target is None else list(range(n))
+    best = target  # the incumbent's whole string
+    # best >> shifts[d]: the incumbent's string over its first d + 1 vertices
+    shifts = [n * (n - 1) // 2 - d * (d + 1) // 2 for d in range(n)]
     # (sigma, bitmask of the vertices sigma fixes)
     autos: list[tuple[tuple[int, ...], int]] = []
     placed: list[int] = []
-    unplaced = set(range(n))
-    # vbits[v]: adjacency bits of v against the placed prefix, oldest first
-    vbits = [0] * n
     twins = _twin_masks(masks)
 
     def descend(depth: int, cum: int, tied: bool, placed_mask: int) -> None:
-        nonlocal best_perm, best_cums
+        nonlocal best_perm, best
         if depth == n:
-            if best_perm is not None and tied:
+            if tied:
                 # equal bit strings at every depth: an automorphism (the
                 # identity when this is the target's own path)
                 if len(autos) < _MAX_STORED_AUTOMORPHISMS and placed != best_perm:
@@ -126,24 +131,33 @@ def _search(
                     autos.append((tuple(sigma), fixed))
             else:
                 best_perm = placed.copy()
-                best_cums = _cums(masks, best_perm)
+                best = cum
             return
-        vb = vbits
-        on_best = tied and best_perm is not None
-        tried = 0  # bitmask of the candidates explored at this node
-        shifted = cum << depth
-        pool = unplaced if depth >= 2 or not first else [v for v in unplaced if first >> v & 1]
-        for v in sorted(pool, key=vb.__getitem__, reverse=True):
-            ncum = shifted | vb[v]  # vbits fit below the shift
-            if on_best:
-                incumbent = best_cums[depth]
-                if ncum < incumbent:
-                    break  # later candidates have smaller bits still
-                if ncum > incumbent and target is not None:
+        alive = full ^ placed_mask
+        if depth < 2 and first:
+            alive &= first
+        # the largest column against the prefix, and the vertices that have it
+        col = 0
+        for u in placed:
+            hit = alive & masks[u]
+            col <<= 1
+            if hit:
+                alive = hit
+                col |= 1
+        cum = (cum << depth) | col
+        if tied:
+            incumbent = best >> shifts[depth]
+            if cum < incumbent:
+                return
+            if cum > incumbent:
+                if target is not None:
                     raise _Beaten
-                child_tied = ncum == incumbent
-            else:
-                child_tied = False
+                tied = False
+        tried = 0  # bitmask of the candidates explored at this node
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            v = low.bit_length() - 1
             if twins[v] & tried:
                 continue
             # an automorphism fixing the prefix maps v into a tried subtree
@@ -152,28 +166,21 @@ def _search(
             ):
                 continue
             placed.append(v)
-            unplaced.remove(v)
-            mv = masks[v]
-            for u in unplaced:
-                vb[u] = (vb[u] << 1) | ((mv >> u) & 1)
-            descend(depth + 1, ncum, child_tied, placed_mask | 1 << v)
-            for u in unplaced:
-                vb[u] >>= 1
-            unplaced.add(v)
+            descend(depth + 1, cum, tied, placed_mask | low)
             placed.pop()
-            tried |= 1 << v
-            on_best = True  # incumbent now passes through this node
+            tried |= low
+            tied = True  # the incumbent now passes through this node
 
     if n == 0:
         return 0
     descend(0, 0, target is not None, 0)
-    return best_cums[-1]
+    return best
 
 
 def _is_lexmax(g: Graph) -> bool:
     """Whether g is its own canonical form: no relabeling beats its graph6 bits."""
     try:
-        _search(g.n, g.adjacency_masks(), list(range(g.n)))
+        _search(g.n, g.adjacency_masks(), _bits(g))
     except _Beaten:
         return False
     return True

@@ -134,9 +134,9 @@ class PolynomialEngine:
     """Evaluator for exact distributions and one-component values.
 
     Each connected component is solved by the covered-set sums of the
-    module docstring, and its law is cached by labelled edge set (vertex
-    count plus edge bitmask): a sweep that meets the same labelled
-    component twice solves it once, and P(G,1) is read from G's law.
+    module docstring, and its law is cached by labelled edge list (vertex
+    count plus edge tuple): a sweep that meets the same labelled component
+    twice solves it once, and P(G,1) is read from G's law.
 
     `max_memo_entries` bounds the covered sets held at once while solving
     (two levels) and the entries of the law cache; exceeding it raises
@@ -151,7 +151,7 @@ class PolynomialEngine:
 
     def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
         self.max_memo_entries = max_memo_entries
-        self._laws: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._laws: dict[tuple[int, tuple], dict[int, Fraction]] = {}
 
     def distribution(self, g: Graph) -> ForestDistribution:
         """Exact p_G as a distribution; edgeless graphs give the empty map.
@@ -176,8 +176,8 @@ class PolynomialEngine:
         return self._component_law(g)[1]
 
     def _component_law(self, comp: Graph) -> dict[int, Fraction]:
-        """The law of a connected component, solved once per labelled edge set."""
-        key = (comp.n, sum(1 << (v * (v - 1) // 2 + u) for u, v in comp.edges))
+        """The law of a connected component, solved once per labelled edge list."""
+        key = (comp.n, comp.edges)
         law = self._laws.get(key)
         if law is None:
             if len(self._laws) >= self.max_memo_entries:

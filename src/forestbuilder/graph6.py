@@ -4,9 +4,9 @@ Layout: one header byte (n + 63), then the upper triangle of the adjacency
 matrix in column-major order (pairs (0,1), (0,2), (1,2), (0,3), ...) packed
 into 6-bit groups, each group offset by 63.  The final group is zero-padded.
 
-`_cums` reads the bits under any vertex ordering and `_pack` writes a bit
-string as text: `serialize_graph6` packs the identity ordering's string,
-and `canon.canonical_key` the lexmax one's.
+`_bits` reads the identity ordering's bits and `_pack` writes a bit string
+as text: `serialize_graph6` packs the identity ordering's string, and
+`canon.canonical_key` the lexmax one's.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from .graphs import Graph
 _MAX_N = 62
 
 
-def _cums(masks: list[int], ordering: list[int]) -> list[int]:
-    """The graph6 bit strings of the ordering's prefixes, as integers."""
-    cums, cum = [], 0
-    for depth, v in enumerate(ordering):
-        mv = masks[v]
-        for u in ordering[:depth]:
-            cum = (cum << 1) | ((mv >> u) & 1)
-        cums.append(cum)
-    return cums
+def _bits(g: Graph) -> int:
+    """The C(n, 2) pair bits of g in graph6 order, pair (u, v) at v(v-1)/2 + u from the top."""
+    top = g.n * (g.n - 1) // 2 - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << (top - v * (v - 1) // 2 - u)
+    return bits
 
 
 def _pack(n: int, bits: int) -> str:
@@ -40,8 +38,7 @@ def _pack(n: int, bits: int) -> str:
 def serialize_graph6(g: Graph) -> str:
     if g.n > _MAX_N:
         raise UnsupportedSize(f"graph6 short form caps at {_MAX_N} vertices")
-    bits = _cums(g.adjacency_masks(), list(range(g.n)))[-1] if g.n else 0
-    return _pack(g.n, bits)
+    return _pack(g.n, _bits(g))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -37,7 +37,7 @@ from .families import balanced_bipartite_plus_edge, complete_bipartite
 from .graph6 import parse_graph6, serialize_graph6
 from .graphs import Graph
 
-SEARCH_VERTEX_CAP = 7
+SEARCH_VERTEX_CAP = 8
 TREE_VERTEX_CAP = 10
 CONJECTURE_CAP = 7  # 2k+1 <= 15 vertices; k = 7 is solved in seconds
 

@@ -425,8 +425,8 @@ def test_decay_json_writes_null_for_an_infinite_rate(capsys):
 def test_table_past_its_cap_fails_before_enumerating(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
-    assert run(["table", "small-graphs", "--max-n", "8"]) == 1
-    assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
+    assert run(["table", "small-graphs", "--max-n", "9"]) == 1
+    assert capsys.readouterr().err == "error: connected enumeration cap is 2..8\n"
     assert run(["table", "trees", "--max-n", "11"]) == 1
     assert capsys.readouterr().err == "error: tree enumeration cap is 1..10\n"
     assert calls == []
@@ -437,7 +437,7 @@ def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
     for max_n in ("1", "-3"):
         assert run(["table", "small-graphs", "--max-n", max_n]) == 1
-        assert capsys.readouterr().err == "error: connected enumeration cap is 2..7\n"
+        assert capsys.readouterr().err == "error: connected enumeration cap is 2..8\n"
     assert run(["table", "trees", "--max-n", "0"]) == 1
     assert capsys.readouterr().err == "error: tree enumeration cap is 1..10\n"
     assert calls == []
@@ -448,11 +448,11 @@ def test_table_below_its_range_fails_before_enumerating(capsys, monkeypatch):
 def test_search_out_of_range_fails_before_enumerating(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("forestbuilder.search._grow", lambda *args: calls.append(args))
-    connected = "error: connected enumeration cap is 2..7\n"
+    connected = "error: connected enumeration cap is 2..8\n"
     for argv, err in (
-        (["pairs", "--n", "8"], connected),
+        (["pairs", "--n", "9"], connected),
         (["twins", "--n", "1"], connected),
-        (["logconcave", "--max-n", "8"], connected),
+        (["logconcave", "--max-n", "9"], connected),
         (["logconcave", "--max-n", "1"], connected),
         (["trees", "--n", "11"], "error: tree enumeration cap is 1..10\n"),
     ):

@@ -365,6 +365,14 @@ def test_the_lower_bound_stops_large_complete_graphs_at_once():
     assert str(caught.value).startswith("matching budget of 1048576 entries exhausted: at least ")
 
 
+def test_a_large_star_is_keyed_in_time_linear_in_its_edges():
+    # the law cache keys a component by its edge tuple, not by an edge mask
+    # of n(n - 1)/2 bits summed from m big integers
+    t0 = perf_counter()
+    assert forest_polynomial(star_graph(10_000)).probs == {1: 1}
+    assert perf_counter() - t0 < 5.0
+
+
 def test_kernel_matches_the_matching_sum_oracle(connected_classes):
     engine = PolynomialEngine()
     graphs = [g for n in range(2, 8) for g in connected_classes[n]]

@@ -93,7 +93,7 @@ def test_connected_class_counts(connected_classes):
     with pytest.raises(SizeCapExceeded):
         enumerate_connected_graphs(1)
     with pytest.raises(SizeCapExceeded):
-        enumerate_connected_graphs(8)
+        enumerate_connected_graphs(9)
 
 
 def test_connected_enumeration_matches_exhaustive_oracle():
@@ -143,12 +143,16 @@ def test_orderly_generation_keeps_each_class_once_in_canonical_form():
 def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, engine, connected_classes):
     # one test per child, a neighbour of the last vertex after its latest
     # one: 2,009 at n = 7 (over every level from 2 vertices), 995 accepted;
-    # a sweep over 2..7 vertices builds each level once, so it makes no more
+    # a sweep over 2..7 vertices builds each level once, so it makes no more.
+    # Each verdict (the identity as incumbent, walking its ties and stopping
+    # when beaten) must match the free search, so a slip in the tie or beaten
+    # logic of either shows even where the counts come out right
     calls = []
     real_is_lexmax = search._is_lexmax
 
     def counting(g):
         calls.append(real_is_lexmax(g))
+        assert calls[-1] == (canonical_key(g) == serialize_graph6(g)), serialize_graph6(g)
         return calls[-1]
 
     monkeypatch.setattr(search, "_is_lexmax", counting)
@@ -159,11 +163,42 @@ def test_orderly_generation_makes_few_lexmax_tests(monkeypatch, engine, connecte
     assert (len(calls), sum(calls)) == (2009, 995)
 
 
-def test_grow_reaches_every_connected_graph_on_eight_vertices():
-    # past SEARCH_VERTEX_CAP: A001349(8) = 11,117 connected classes
-    *_, graphs = search._grow(8, False)
+@pytest.fixture(scope="module")
+def eight_vertex_levels():
+    """The levels of one walk of the connected generator, on 1..8 vertices."""
+    return list(search._grow(8, False))
+
+
+def test_grow_reaches_every_connected_graph_on_eight_vertices(eight_vertex_levels):
+    # A001349(8) = 11,117 connected classes
+    graphs = eight_vertex_levels[-1]
     assert len(graphs) == 11117
     assert all(map(is_connected, graphs))
+
+
+def test_eight_vertex_searches_pinned(monkeypatch, engine, eight_vertex_levels):
+    # every search at SEARCH_VERTEX_CAP, each reading the one walk above;
+    # one equal-polynomial pair is not explained by Corollary 4
+    def walked(n, tree):
+        assert not tree and n <= 8
+        return iter(eight_vertex_levels[:n])
+
+    monkeypatch.setattr(search, "_grow", walked)
+    assert len(enumerate_connected_graphs(8)) == 11117
+    assert sweep_log_concavity(8, engine) == []
+    reports = find_equal_polynomial_pairs(8, engine)
+    assert [(r.graph6_a, r.graph6_b, r.explained_by_corollary4) for r in reports] == [
+        ("GqGOOG", "GqGOOK", True),
+        ("GsXP_W", "GsXP_[", True),
+        ("Gs`zr_", "Gs`zro", True),
+        ("G~z\\zw", "G~z\\z{", True),
+        ("GsaBzo", "GsaBzw", True),
+        ("G~~~~w", "G~~~~{", True),
+        ("Gs`_GG", "GsaA?C", False),
+        ("GsaCBw", "GsaCB{", True),
+    ]
+    assert reports[6].shared_polynomial.probs == {1: Fraction(1, 5), 2: Fraction(4, 5)}
+    assert len(find_edge_degree_twins(8, engine)) == 30782
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
@@ -223,7 +258,7 @@ def test_equal_polynomial_pair_census(engine):
             assert forest_polynomial(ga, engine).probs == rep.shared_polynomial.probs
             assert forest_polynomial(gb, engine).probs == rep.shared_polynomial.probs
     with pytest.raises(SizeCapExceeded):
-        find_equal_polynomial_pairs(8, engine)
+        find_equal_polynomial_pairs(9, engine)
 
 
 def test_smallest_pairs_are_the_known_ones(engine):
@@ -348,7 +383,7 @@ def test_log_concavity_checks(engine):
     with pytest.raises(SizeCapExceeded):
         sweep_log_concavity(1, engine)
     with pytest.raises(SizeCapExceeded):
-        sweep_log_concavity(8, engine)
+        sweep_log_concavity(9, engine)
 
 
 def test_tree_pairs_empty_at_small_sizes(engine):
