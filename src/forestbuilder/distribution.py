@@ -26,12 +26,12 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def convolve(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Product of generating polynomials given as sparse coefficient maps."""
+    """Product of generating polynomials as sparse maps of Fraction or int coefficients."""
     out: dict[int, Fraction] = {}
     for i, p in a.items():
         for j, q in b.items():
             k = i + j
-            out[k] = out.get(k, Fraction(0)) + p * q
+            out[k] = out.get(k, 0) + p * q
     return {k: v for k, v in sorted(out.items()) if v}
 
 

@@ -134,41 +134,51 @@ class PolynomialEngine:
     """Evaluator for exact distributions and one-component values.
 
     Each connected component is solved by the covered-set sums of the
-    module docstring, and its law is cached by labelled edge list (vertex
-    count plus edge tuple): a sweep that meets the same labelled component
-    twice solves it once, and P(G,1) is read from G's law.
+    module docstring.  The engine keeps one law between calls: that of the
+    last component solved, keyed by its labelled edge list (vertex count
+    plus edge tuple).  So `one_component` after `distribution` on one graph
+    reads the law just solved, and a graph's equal labelled components,
+    which `distribution` visits in a row, are solved once.
 
     `max_memo_entries` bounds the covered sets held at once while solving
-    (two levels) and the entries of the law cache; exceeding it raises
-    MemoryBudgetExceeded rather than thrashing.  Sets are counted as they are
-    inserted, and first by closed-form lower bounds L_j on the level sizes:
-    with Delta the maximum degree, a set on 2j vertices keeps at least
-    m - j(2 Delta - 1) free edges and one on 2j + 2 is reached from at most
-    C(2j + 2, 2) pairs, so L_0 = 1, L_{j+1} = L_j max(m - j(2 Delta - 1), 0)
-    // C(2j + 2, 2).  The budget counts sets, not bytes: each holds an integer
-    of about log2(m!) bits and an m-bit free set (K_20: 310,726 sets, 146 MB).
+    (two levels); exceeding it raises MemoryBudgetExceeded rather than
+    thrashing.  Sets are counted as they are inserted, and first by
+    closed-form lower bounds L_j on the level sizes: with Delta the maximum
+    degree, a set on 2j vertices keeps at least m - j(2 Delta - 1) free
+    edges and one on 2j + 2 is reached from at most C(2j + 2, 2) pairs, so
+    L_0 = 1, L_{j+1} = L_j max(m - j(2 Delta - 1), 0) // C(2j + 2, 2).  The
+    budget counts sets, not bytes: each holds an integer of about log2(m!)
+    bits and an m-bit free set (K_20: 310,726 sets, 146 MB).
     """
 
     def __init__(self, max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
         self.max_memo_entries = max_memo_entries
-        self._laws: dict[tuple[int, tuple], dict[int, Fraction]] = {}
+        self._last_key: tuple[int, tuple] | None = None
+        self._last_law: dict[int, Fraction] = {}
 
     def distribution(self, g: Graph) -> ForestDistribution:
         """Exact p_G as a distribution; edgeless graphs give the empty map.
 
-        A connected graph is its own component: its law is copied out of
-        the cache as it stands.  Other graphs convolve their components.
+        A connected graph is its own component: its law is copied out as it
+        stands.  Other graphs visit their components sorted by labelled edge
+        list, so equal ones come in a row, and convolve their ordering counts
+        (each law times m!), dividing once per coefficient at the end.
         """
         if g.m and is_connected(g):
             return ForestDistribution(g.n, g.m, dict(self._component_law(g)))
-        acc = {0: Fraction(1)}
-        for piece in components(g):
-            acc = convolve(acc, self._component_law(piece))
-        probs = {k: v for k, v in acc.items() if k > 0}
+        counts, total = {0: 1}, 1
+        for piece in sorted(components(g), key=lambda c: (c.n, c.edges)):
+            orderings = factorial(piece.m)
+            law = self._component_law(piece)
+            counts = convolve(
+                counts, {k: p.numerator * (orderings // p.denominator) for k, p in law.items()}
+            )
+            total *= orderings
+        probs = {k: Fraction(c, total) for k, c in counts.items() if k > 0}
         return ForestDistribution(g.n, g.m, probs)
 
     def one_component(self, g: Graph) -> Fraction:
-        """P(G,1) for a connected graph: coefficient 1 of its cached law."""
+        """P(G,1) for a connected graph: coefficient 1 of its law."""
         if g.m == 0:
             raise EmptyGraph("one-component probability needs at least one edge")
         if not is_connected(g):
@@ -176,16 +186,12 @@ class PolynomialEngine:
         return self._component_law(g)[1]
 
     def _component_law(self, comp: Graph) -> dict[int, Fraction]:
-        """The law of a connected component, solved once per labelled edge list."""
+        """The law of a connected component, solved unless it is the last one solved."""
         key = (comp.n, comp.edges)
-        law = self._laws.get(key)
-        if law is None:
-            if len(self._laws) >= self.max_memo_entries:
-                raise MemoryBudgetExceeded(
-                    f"memo budget of {self.max_memo_entries} entries exhausted"
-                )
-            law = self._laws[key] = _law(self._covered_sums(comp))
-        return law
+        if key != self._last_key:
+            self._last_law = _law(self._covered_sums(comp))
+            self._last_key = key
+        return self._last_law
 
     def _covered_sums(self, comp: Graph) -> list[int]:
         """[E_0, E_1, ...] for a connected component, one covered-set level at a time.
@@ -238,8 +244,8 @@ class PolynomialEngine:
         return MemoryBudgetExceeded(f"matching budget of {budget} entries exhausted: {sets}")
 
     def memo_sizes(self) -> tuple[int]:
-        """The number of cached component laws, as a one-element tuple."""
-        return (len(self._laws),)
+        """The number of component laws held, 0 before any solve and 1 after."""
+        return (int(self._last_key is not None),)
 
 
 def _law(sums: list[int]) -> dict[int, Fraction]:

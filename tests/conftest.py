@@ -1,7 +1,8 @@
 """Shared fixtures: one engine and the connected classes for the whole session.
 
-The engine caches solved components by labelled edge set, so a test that
-meets a component an earlier test solved reuses its law.
+The engine keeps only the law of the last component it solved, so tests do
+not reuse each other's laws; sharing it checks that no call leaves state
+that changes the next one's answer.
 """
 
 from fractions import Fraction

@@ -33,7 +33,7 @@ from forestbuilder.families import (
     random_regular_graph,
     star_graph,
 )
-from forestbuilder.graphs import Graph, from_edge_list
+from forestbuilder.graphs import Graph, components, from_edge_list
 from forestbuilder.rng import SplitMix64, derive_seed
 
 
@@ -271,13 +271,25 @@ def test_single_component_values(engine):
         single_component_probability(from_edge_list(4, [(0, 1), (2, 3)]), engine)
 
 
-def test_one_component_reads_the_cached_law():
+def _count_solves(monkeypatch):
+    solves = []
+    solve = PolynomialEngine._covered_sums
+
+    def counted(self, comp):
+        solves.append(comp)
+        return solve(self, comp)
+
+    monkeypatch.setattr(PolynomialEngine, "_covered_sums", counted)
+    return solves
+
+
+def test_one_component_reads_the_cached_law(monkeypatch):
+    solves = _count_solves(monkeypatch)
     own = PolynomialEngine()
     g = random_regular_graph(10, 3, 1)
     dist = own.distribution(g)
-    sizes = own.memo_sizes()
     assert own.one_component(g) == dist.coefficient(1)
-    assert own.memo_sizes() == sizes
+    assert len(solves) == 1
 
 
 def test_cubic_graph_past_the_canonical_cap(engine):
@@ -289,20 +301,19 @@ def test_cubic_graph_past_the_canonical_cap(engine):
 
 def test_memoization_controls():
     own = PolynomialEngine()
+    assert own.memo_sizes() == (0,)
     own.distribution(complete_graph(5))
-    (laws,) = own.memo_sizes()
-    assert laws > 0
+    assert own.memo_sizes() == (1,)
     tight = PolynomialEngine(max_memo_entries=2)
     with pytest.raises(MemoryBudgetExceeded):
         tight.distribution(complete_graph(5))
-    # the law cache holds at most max_memo_entries labelled components
+    # the budget bounds covered sets held at once, not laws: each of these
+    # holds at most 3 sets, so any number of them solve at a budget of 3
     full = PolynomialEngine(max_memo_entries=3)
     paths = [Graph(3, ((0, 1), (1, 2))), Graph(3, ((0, 1), (0, 2))), Graph(3, ((0, 2), (1, 2)))]
-    laws = [full.distribution(g).probs for g in paths]
-    with pytest.raises(MemoryBudgetExceeded) as caught:
-        full.distribution(Graph(2, ((0, 1),)))
-    assert str(caught.value) == "memo budget of 3 entries exhausted"
-    assert full.distribution(paths[0]).probs == laws[0]
+    for g in paths + [Graph(2, ((0, 1),)), paths[0]]:
+        assert full.distribution(g).probs == brute_force_distribution(g).probs
+        assert full.memo_sizes() == (1,)
 
 
 @pytest.mark.parametrize(
@@ -366,7 +377,7 @@ def test_the_lower_bound_stops_large_complete_graphs_at_once():
 
 
 def test_a_large_star_is_keyed_in_time_linear_in_its_edges():
-    # the law cache keys a component by its edge tuple, not by an edge mask
+    # the law slot keys a component by its edge tuple, not by an edge mask
     # of n(n - 1)/2 bits summed from m big integers
     t0 = perf_counter()
     assert forest_polynomial(star_graph(10_000)).probs == {1: 1}
@@ -414,14 +425,44 @@ def test_isolated_vertices_leave_the_law_of_the_rest(engine):
         assert dist.probs == brute_force_distribution(g).probs
 
 
-def test_memo_holds_one_law_per_connected_graph():
+def test_memo_holds_one_law_per_connected_graph(connected_classes):
     own = PolynomialEngine()
+    assert own.memo_sizes() == (0,)
     g = complete_bipartite(2, 3)
-    own.distribution(g)
-    assert own.memo_sizes() == (1,)
     own.distribution(g)
     own.one_component(g)
     assert own.memo_sizes() == (1,)
-    union = Graph(7, g.edges + ((5, 6),))
-    own.distribution(union)
-    assert own.memo_sizes() == (2,)  # the K_{2,3} law again, plus one edge
+    own.distribution(Graph(7, g.edges + ((5, 6),)))
+    assert own.memo_sizes() == (1,)
+    # the engine keeps only the last law, however many graphs it solved
+    assert len(connected_classes[5]) == 21
+    for h in connected_classes[5]:
+        own.distribution(h)
+    assert own.memo_sizes() == (1,)
+
+
+def test_equal_components_are_solved_once_whatever_their_order(monkeypatch):
+    # K_{2,3}, P_4, K_{2,3}, P_4 in least-vertex order: no two equal
+    # components are adjacent, so only the sorted visit meets them in a row
+    solves = _count_solves(monkeypatch)
+    k23, p4 = complete_bipartite(2, 3), path_graph(4)
+    edges, n = (), 0
+    for piece in (k23, p4, k23, p4):
+        edges += tuple((u + n, v + n) for u, v in piece.edges)
+        n += piece.n
+    g = Graph(n, edges)
+    assert [c.edges for c in components(g)] == [k23.edges, p4.edges] * 2
+    pair = convolve(*(brute_force_distribution(piece).probs for piece in (k23, p4)))
+    assert PolynomialEngine().distribution(g).probs == convolve(pair, pair)
+    assert len(solves) == 2
+
+
+def test_many_small_components_convolve_in_time():
+    # sorted by size and convolved as integer counts
+    g = gnm_random_graph(30000, 6000, 1)
+    assert len(components(g)) == 3904
+    t0 = perf_counter()
+    dist = PolynomialEngine().distribution(g)
+    assert perf_counter() - t0 < 5.0
+    assert dist.total() == 1
+    assert dist.expected_components() == expected_components(g)
