@@ -3,7 +3,7 @@
 Every subcommand writes machine-readable output to stdout (JSON by default,
 exact rationals as "num/den" strings) and is deterministic given its flags:
 identical invocations produce byte-identical output.  Exit codes: 0 success,
-1 computation error (caps, infeasible parameters), 2 usage error.
+1 computation error (caps, infeasible parameters, out of memory), 2 usage error.
 """
 
 from __future__ import annotations
@@ -276,12 +276,11 @@ def _cmd_table(ns: argparse.Namespace) -> str:
     small = ns.which == "small-graphs"
     kind, label = ("connected", "connected classes") if small else ("tree", "trees")
     lines = []
-    for n, graphs in search._classes(kind, 2, ns.max_n):
+    for n, classes in search._classes(kind, 2, ns.max_n):
         if ns.verbose:
-            print(f"n={n}: {len(graphs)} {label}", file=sys.stderr)
-        for g in graphs:
-            dist = forest_polynomial(g)
-            lines.append(_json({"graph6": serialize_graph6(g), "polynomial": dist}))
+            print(f"n={n}: {len(classes)} {label}", file=sys.stderr)
+        for key, g in classes:
+            lines.append(_json({"graph6": key, "polynomial": forest_polynomial(g)}))
     return "\n".join(lines)
 
 
@@ -394,6 +393,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except ForestBuilderError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # e.g. a per-vertex table for an edge list declaring 10^15 vertices
+        print("error: out of memory for this input", file=sys.stderr)
         return 1
     if output:
         print(output)

@@ -115,8 +115,6 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         raise InfeasibleSpec("regular graph needs n >= 1 and d >= 0")
     if d >= n or (n * d) % 2 == 1:
         raise InfeasibleSpec(f"no simple {d}-regular graph on {n} vertices")
-    if d == 0:
-        return Graph(n, ())
     if d == n - 1:
         return complete_graph(n)
     for attempt in range(_REGULAR_RETRY_CAP):

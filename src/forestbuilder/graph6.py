@@ -58,20 +58,15 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"{n}-vertex graph6 needs {expected} body bytes, got {len(body)}"
         )
+    bits = 0
     for c in body:
         if not 63 <= c <= 126:
             raise MalformedGraph6(f"body byte {c} outside graph6 range")
-    bits = []
-    for c in body:
-        group = c - 63
-        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = bits << 6 | c - 63
+    pad = 6 * expected - nbits
+    if bits & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph(n, tuple(edges))
+    bits >>= pad
+    top = nbits - 1  # pair (u, v) at v(v-1)/2 + u from the top, as `_bits` writes it
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return Graph(n, tuple((u, v) for u, v in pairs if bits >> (top - v * (v - 1) // 2 - u) & 1))

@@ -16,8 +16,9 @@ neighbours v > u of k in increasing order, keeping each step that
 Kept graphs list their edges in graph6 order, as `parse_graph6` of their
 key would: a representative is a canonical form whose graph6 is its key.
 One source, `_classes`, enumerates the classes for every search and for the
-CLI tables.  It checks the size cap once, before building any level, and
-walks `_grow` once, so each level is built once.
+CLI tables, each as its (key, representative) pair, so each key is written
+once.  It checks the size cap once, before building any level, and walks
+`_grow` once, so each level is built once.
 Every search reports replayable records: graphs as graph6 strings plus the
 exact polynomials involved.
 """
@@ -34,7 +35,7 @@ from .distribution import ForestDistribution
 from .engine import PolynomialEngine, expected_components, forest_polynomial
 from .errors import SizeCapExceeded
 from .families import balanced_bipartite_plus_edge, complete_bipartite
-from .graph6 import parse_graph6, serialize_graph6
+from .graph6 import serialize_graph6
 from .graphs import Graph
 
 SEARCH_VERTEX_CAP = 8
@@ -69,12 +70,16 @@ def _grow(n: int, tree: bool) -> Iterator[list[Graph]]:
         yield level
 
 
-def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph]]]:
-    """(n, representatives) of the "connected" graphs or "tree"s on first..last vertices.
+# an isomorphism class: its canonical graph6 key and its representative
+_Class = tuple[str, Graph]
+
+
+def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[_Class]]]:
+    """(n, classes) of the "connected" graphs or "tree"s on first..last vertices.
 
     The one check of each kind's size range, made on the call, before any class is built.
     One walk of `_grow` builds every level up to `last` (none for an empty range), and
-    only the levels handed out are sorted, by (edge count, key).
+    only the levels handed out are keyed and sorted, by (edge count, key).
     """
     tree = kind == "tree"
     low, cap = (1, TREE_VERTEX_CAP) if tree else (2, SEARCH_VERTEX_CAP)
@@ -82,22 +87,25 @@ def _classes(kind: str, first: int, last: int) -> Iterator[tuple[int, list[Graph
         raise SizeCapExceeded(f"{kind} enumeration cap is {low}..{cap}")
     levels = enumerate(_grow(last, tree), 1) if first <= last else ()
     return (
-        (n, sorted(level, key=lambda g: (g.m, serialize_graph6(g))))
+        (n, sorted(((serialize_graph6(g), g) for g in level), key=lambda c: (c[1].m, c[0])))
         for n, level in levels
         if n >= first
     )
 
 
+def _level(kind: str, n: int) -> list[_Class]:
+    ((_, classes),) = _classes(kind, n, n)
+    return classes
+
+
 def enumerate_connected_graphs(n: int) -> list[Graph]:
     """Canonical representatives of the connected n-vertex classes, by (edge count, key)."""
-    ((_, graphs),) = _classes("connected", n, n)
-    return graphs
+    return [g for _, g in _level("connected", n)]
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """Canonical representatives of the n-vertex trees, by leaf augmentation, in key order."""
-    ((_, trees),) = _classes("tree", n, n)
-    return trees
+    return [t for _, t in _level("tree", n)]
 
 
 @dataclass(frozen=True)
@@ -131,49 +139,44 @@ class ConjectureReport:
     bipartite_polynomial: ForestDistribution
 
 
-def _corollary4_explains(a: Graph, b: Graph) -> bool:
-    """One graph edge-transitive and the other isomorphic to it minus an edge.
-
-    Both are representatives, so the smaller one's graph6 is its key.
-    """
-    for big, small in ((a, b), (b, a)):
+def _corollary4_explains(a: _Class, b: _Class) -> bool:
+    """One graph edge-transitive and the other isomorphic to it minus an edge."""
+    for (_, big), (small_key, small) in ((a, b), (b, a)):
         if big.m != small.m + 1 or big.m < 2:
             continue
         if not is_edge_transitive(big):
             continue
         # edge-transitive: all single deletions are isomorphic, test one
-        if canonical_key(big.delete_edge(0)) == serialize_graph6(small):
+        if canonical_key(big.delete_edge(0)) == small_key:
             return True
     return False
 
 
-_Member = tuple[str, ForestDistribution]
+_Member = tuple[_Class, ForestDistribution]
 
 
 def _bucketed_pairs(
-    graphs: list[Graph],
+    classes: list[_Class],
     engine: PolynomialEngine | None,
     signature: Callable[[Graph, ForestDistribution], tuple],
 ) -> Iterator[tuple[_Member, _Member]]:
-    """Pairs of representatives with equal signatures, as (graph6, p_G).
+    """Pairs of classes with equal signatures, as ((key, representative), p_G).
 
-    Pairs come in signature order, then graph6 order.
+    Pairs come in signature order, then key order.
     """
     buckets: dict[tuple, list[_Member]] = {}
-    for g in graphs:
+    for key, g in classes:
         dist = forest_polynomial(g, engine)
-        buckets.setdefault(signature(g, dist), []).append((serialize_graph6(g), dist))
+        buckets.setdefault(signature(g, dist), []).append(((key, g), dist))
     for sig in sorted(buckets):
-        yield from combinations(sorted(buckets[sig], key=lambda item: item[0]), 2)
+        yield from combinations(sorted(buckets[sig], key=lambda item: item[0][0]), 2)
 
 
-def _pair_reports(
-    graphs: list[Graph], engine: PolynomialEngine | None
-) -> list[PairReport]:
+def _pair_reports(classes: list[_Class], engine: PolynomialEngine | None) -> list[PairReport]:
     return [
-        PairReport(g6a, g6b, dist, _corollary4_explains(parse_graph6(g6a), parse_graph6(g6b)))
-        for (g6a, dist), (g6b, _) in _bucketed_pairs(
-            graphs, engine, lambda g, dist: tuple(sorted(dist.probs.items()))
+        PairReport(a[0], b[0], dist, _corollary4_explains(a, b))
+        for (a, dist), (b, _) in _bucketed_pairs(
+            classes, engine, lambda g, dist: tuple(sorted(dist.probs.items()))
         )
     ]
 
@@ -187,7 +190,7 @@ def find_equal_polynomial_pairs(
     n: int, engine: PolynomialEngine | None = None
 ) -> list[PairReport]:
     """All unordered pairs of connected n-vertex classes sharing a polynomial."""
-    return _pair_reports(enumerate_connected_graphs(n), engine)
+    return _pair_reports(_level("connected", n), engine)
 
 
 def find_edge_degree_twins(
@@ -199,9 +202,9 @@ def find_edge_degree_twins(
     that the expectation does not determine the distribution.
     """
     return [
-        TwinReport(g6a, g6b, expected_components(parse_graph6(g6a)), da, db)
-        for (g6a, da), (g6b, db) in _bucketed_pairs(
-            enumerate_connected_graphs(n), engine, _edge_degree_sums
+        TwinReport(a, b, expected_components(g), da, db)
+        for ((a, g), da), ((b, _), db) in _bucketed_pairs(
+            _level("connected", n), engine, _edge_degree_sums
         )
         if da.probs != db.probs
     ]
@@ -232,10 +235,10 @@ def sweep_log_concavity(
     n_max: int, engine: PolynomialEngine | None = None
 ) -> list[Graph]:
     """Log-concavity violations among connected classes on 2..n_max vertices."""
-    graphs = (g for _, level in _classes("connected", 2, n_max) for g in level)
+    graphs = (g for _, level in _classes("connected", 2, n_max) for _, g in level)
     return [g for g in graphs if not check_log_concavity(g, engine)]
 
 
 def find_tree_pairs(n: int, engine: PolynomialEngine | None = None) -> list[PairReport]:
     """Pairs of non-isomorphic n-vertex trees with equal polynomials."""
-    return _pair_reports(enumerate_trees(n), engine)
+    return _pair_reports(_level("tree", n), engine)

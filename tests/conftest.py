@@ -21,7 +21,7 @@ def engine():
 @pytest.fixture(scope="session")
 def connected_classes():
     """Connected isomorphism class representatives keyed by vertex count, from one walk."""
-    return {n: tuple(level) for n, level in _classes("connected", 2, 7)}
+    return {n: tuple(g for _, g in level) for n, level in _classes("connected", 2, 7)}
 
 
 @pytest.fixture(scope="session")

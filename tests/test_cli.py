@@ -360,6 +360,15 @@ def test_edge_list_with_non_integer_token_exits_one(capsys, tmp_path):
     assert "non-integer" in capsys.readouterr().err
 
 
+def test_edge_list_with_a_huge_vertex_count_exits_one(capsys, tmp_path):
+    # a per-vertex table for 10^15 vertices fails to allocate at once
+    source = tmp_path / "huge.txt"
+    source.write_text("1000000000000000 1\n0 1\n")
+    for command in ("poly", "expect"):
+        assert run([command, "--edges", str(source)]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory for this input\n")
+
+
 def test_unreadable_edge_list_file_is_a_usage_error(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert run(["poly", "--edges", str(missing)]) == 2

@@ -19,6 +19,7 @@ from forestbuilder.families import (
     star_graph,
 )
 from forestbuilder.graph6 import serialize_graph6
+from forestbuilder.graphs import Graph
 from forestbuilder.rng import SplitMix64, derive_seed
 
 
@@ -131,7 +132,9 @@ def test_random_regular():
     g = random_regular_graph(8, 3, seed=1)
     assert g.n == 8 and g.degrees() == [3] * 8
     assert g == random_regular_graph(8, 3, seed=1)
-    assert random_regular_graph(5, 0, seed=0).m == 0
+    # degree 0: the pairing loop has no stubs and returns the edgeless graph
+    for n in (1, 2, 5, 8):
+        assert random_regular_graph(n, 0, seed=3) == Graph(n, ())
     with pytest.raises(InfeasibleSpec):
         random_regular_graph(5, 3, seed=0)  # odd degree sum
     with pytest.raises(InfeasibleSpec):

@@ -183,7 +183,17 @@ def test_eight_vertex_searches_pinned(monkeypatch, engine, eight_vertex_levels):
         assert not tree and n <= 8
         return iter(eight_vertex_levels[:n])
 
+    # each search evaluates every class; solve each labelled graph once
+    laws = {}
+
+    def memo(g, engine=None):
+        key = (g.n, g.edges)
+        if key not in laws:
+            laws[key] = forest_polynomial(g, engine)
+        return laws[key]
+
     monkeypatch.setattr(search, "_grow", walked)
+    monkeypatch.setattr(search, "forest_polynomial", memo)
     assert len(enumerate_connected_graphs(8)) == 11117
     assert sweep_log_concavity(8, engine) == []
     reports = find_equal_polynomial_pairs(8, engine)
