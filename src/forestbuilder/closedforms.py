@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .distribution import ForestDistribution
-from .errors import InvalidParameter, InvalidSize, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 
 
 def _comb0(a: int, b: int) -> int:
@@ -28,7 +28,7 @@ def _comb0(a: int, b: int) -> int:
 def complete_distribution(n: int) -> ForestDistribution:
     """Distribution for K_n: P(k) = C(n-1; n-2k, k, k-1) * 2^(n-2k) / C(2n-2, n)."""
     if n < 2:
-        raise InvalidSize("complete distribution needs n >= 2")
+        raise ParameterOutOfRange("complete distribution needs n >= 2")
     denom = comb(2 * n - 2, n)
     probs: dict[int, Fraction] = {}
     k = 1
@@ -44,7 +44,7 @@ def complete_distribution(n: int) -> ForestDistribution:
 def bipartite_distribution(s: int, t: int) -> ForestDistribution:
     """Distribution for K_{s,t}: P(k) = k(s+t)C(s,k)C(t,k) / (st C(s+t,s))."""
     if s < 1 or t < 1:
-        raise InvalidSize("bipartite distribution needs s, t >= 1")
+        raise ParameterOutOfRange("bipartite distribution needs s, t >= 1")
     denom = s * t * comb(s + t, s)
     probs: dict[int, Fraction] = {}
     for k in range(1, min(s, t) + 1):
@@ -68,14 +68,14 @@ def bipartite_q(s: int, t: int, a: int, b: int, l: int) -> Fraction:
 def complete_expected_components(n: int) -> Fraction:
     """E(kappa) for K_n: n(n-1)/(4n-6)."""
     if n < 2:
-        raise InvalidSize("needs n >= 2")
+        raise ParameterOutOfRange("needs n >= 2")
     return Fraction(n * (n - 1), 4 * n - 6)
 
 
 def bipartite_expected_components(s: int, t: int) -> Fraction:
     """E(kappa) for K_{s,t}: st/(s+t-1)."""
     if s < 1 or t < 1:
-        raise InvalidSize("needs s, t >= 1")
+        raise ParameterOutOfRange("needs s, t >= 1")
     return Fraction(s * t, s + t - 1)
 
 
@@ -105,7 +105,7 @@ def gnm_expectation_lower_bound(n: int, m: int) -> Fraction:
 def path_distribution(n: int) -> ForestDistribution:
     """f_n for the path with n edges, via n*f_n = sum_i f_i * f_{n-1-i}."""
     if n < 1:
-        raise InvalidSize("path distribution needs n >= 1 edges")
+        raise ParameterOutOfRange("path distribution needs n >= 1 edges")
     # coefficient maps indexed by component count; f_0 = 1, f_1 = x
     f: list[dict[int, Fraction]] = [{0: Fraction(1)}, {1: Fraction(1)}]
     for j in range(2, n + 1):
@@ -128,9 +128,9 @@ def path_series_coefficients(x: float, count: int) -> list[float]:
     only floating-point computation.
     """
     if not x > 1:
-        raise InvalidParameter("series parameter must satisfy x > 1")
+        raise ParameterOutOfRange("series parameter must satisfy x > 1")
     if count < 1:
-        raise InvalidParameter("need count >= 1")
+        raise ParameterOutOfRange("need count >= 1")
     q = [1.0]
     for n in range(count - 1):
         total = sum(q[i] * q[n - i] for i in range(n + 1))
@@ -143,7 +143,7 @@ def path_series_coefficients(x: float, count: int) -> list[float]:
 def path_generating_value(x: float, t: float) -> float:
     """Closed form Q(t) = sqrt(x-1) tan(t sqrt(x-1) + arctan(1/sqrt(x-1)))."""
     if not x > 1:
-        raise InvalidParameter("needs x > 1")
+        raise ParameterOutOfRange("needs x > 1")
     r = math.sqrt(x - 1.0)
     return r * math.tan(t * r + math.atan(1.0 / r))
 
@@ -161,5 +161,5 @@ def matching_identity_lhs(big_n: int) -> int:
 def cycle_single_component(n: int) -> Fraction:
     """P(C_n, 1) = n * 2^(n-2) / n!."""
     if n < 3:
-        raise InvalidSize("cycle needs n >= 3")
+        raise ParameterOutOfRange("cycle needs n >= 3")
     return Fraction(n * 2 ** (n - 2), factorial(n))

@@ -32,13 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .distribution import ForestDistribution, convolve
-from .errors import (
-    DisconnectedInput,
-    EmptyGraph,
-    InvalidOrdering,
-    MemoryBudgetExceeded,
-    TooManyEdges,
-)
+from .errors import InvalidGraph, MemoryBudgetExceeded, ParameterOutOfRange, SizeCapExceeded
 from .graphs import Graph, components, is_connected
 
 BRUTE_FORCE_EDGE_CAP = 10
@@ -54,7 +48,7 @@ class ProcessResult:
 def run_process(g: Graph, ordering: list[int] | tuple[int, ...]) -> ProcessResult:
     """Run the process for one explicit edge ordering."""
     if sorted(ordering) != list(range(g.m)):
-        raise InvalidOrdering("ordering must be a permutation of 0..m-1")
+        raise ParameterOutOfRange("ordering must be a permutation of 0..m-1")
     kept, kappa = _scan(g.edges, g.n, ordering)
     return ProcessResult(frozenset(kept), kappa)
 
@@ -90,7 +84,7 @@ def brute_force_distribution(g: Graph) -> ForestDistribution:
     """
     m = g.m
     if m > BRUTE_FORCE_EDGE_CAP:
-        raise TooManyEdges(f"brute force cap is {BRUTE_FORCE_EDGE_CAP} edges, got {m}")
+        raise SizeCapExceeded(f"brute force cap is {BRUTE_FORCE_EDGE_CAP} edges, got {m}")
     if m == 0:
         return ForestDistribution(g.n, 0, {})
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
@@ -125,7 +119,7 @@ def brute_force_distribution(g: Graph) -> ForestDistribution:
 def expected_components(g: Graph) -> Fraction:
     """Sum over edges uv of 1/(d(u) + d(v) - 1)."""
     if g.m == 0:
-        raise EmptyGraph("expectation needs at least one edge")
+        raise InvalidGraph("expectation needs at least one edge")
     degs = g.degrees()
     return sum((Fraction(1, degs[u] + degs[v] - 1) for u, v in g.edges), Fraction(0))
 
@@ -167,6 +161,7 @@ class PolynomialEngine:
         if g.m and is_connected(g):
             return ForestDistribution(g.n, g.m, dict(self._component_law(g)))
         counts, total = {0: 1}, 1
+        # small first also keeps integer products small (gnm 30000/6000: 0.11 s, 0.65 s unsorted)
         for piece in sorted(components(g), key=lambda c: (c.n, c.edges)):
             orderings = factorial(piece.m)
             law = self._component_law(piece)
@@ -180,9 +175,9 @@ class PolynomialEngine:
     def one_component(self, g: Graph) -> Fraction:
         """P(G,1) for a connected graph: coefficient 1 of its law."""
         if g.m == 0:
-            raise EmptyGraph("one-component probability needs at least one edge")
+            raise InvalidGraph("one-component probability needs at least one edge")
         if not is_connected(g):
-            raise DisconnectedInput("one-component probability needs a connected graph")
+            raise InvalidGraph("one-component probability needs a connected graph")
         return self._component_law(g)[1]
 
     def _component_law(self, comp: Graph) -> dict[int, Fraction]:

@@ -1,8 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per failure kind.
 
-Every error raised by library code derives from ForestBuilderError so that
-callers (in particular the command line front end) can distinguish domain
-failures from programming mistakes.
+Every error raised by library code derives from ForestBuilderError, so that
+callers (in particular the command line front end, which exits 1 on any of
+them) can tell domain failures from programming mistakes.  The message says
+which check failed; the class says which kind of failure it is:
+
+- InvalidGraph: the graph itself is bad or unsuitable, from a malformed
+  graph6 string or edge list to an edge the operation cannot take (a
+  self-loop, a repeat, an endpoint out of range) or a graph with no edges
+  or not connected where the operation needs one.
+- ParameterOutOfRange: a numeric argument violates a documented
+  precondition or admits no graph, or an edge ordering is not a permutation.
+- SizeCapExceeded: the input is larger than the documented cap for this
+  operation (brute force, canonical labeling, Cheeger, searches, graph6
+  short form).
+- MemoryBudgetExceeded: the exact sums would hold more covered sets at once
+  than the engine's budget.
+- GenerationTimeout: a rejection-sampling generator exceeded its retry
+  budget.
 """
 
 
@@ -10,81 +25,21 @@ class ForestBuilderError(Exception):
     """Base class for all package-specific errors."""
 
 
-# --- graph construction and parsing ---
+class InvalidGraph(ForestBuilderError):
+    """Malformed graph input, or a graph the operation is not defined for."""
 
 
-class VertexOutOfRange(ForestBuilderError):
-    """An edge endpoint is not in 0..n-1."""
-
-
-class SelfLoop(ForestBuilderError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdge(ForestBuilderError):
-    """The same unordered pair appears twice in an edge list."""
-
-
-class MalformedGraph6(ForestBuilderError):
-    """Input is not a valid short-form graph6 string."""
-
-
-class MalformedEdgeList(ForestBuilderError):
-    """Edge-list text does not follow the "n m" header plus "u v" lines layout."""
-
-
-class UnsupportedSize(ForestBuilderError):
-    """graph6 input or output outside the supported 0..62 vertex range."""
-
-
-# --- generators ---
-
-
-class InfeasibleSpec(ForestBuilderError):
-    """Requested family parameters admit no graph (e.g. odd d*n for d-regular)."""
-
-
-class GenerationTimeout(ForestBuilderError):
-    """A rejection-sampling generator exceeded its retry budget."""
-
-
-# --- size and resource caps ---
+class ParameterOutOfRange(ForestBuilderError):
+    """A numeric argument or an ordering violates a documented precondition."""
 
 
 class SizeCapExceeded(ForestBuilderError):
     """Input is larger than the documented cap for this operation."""
 
 
-class TooManyEdges(ForestBuilderError):
-    """Brute-force enumeration requested beyond its edge-count cap."""
-
-
 class MemoryBudgetExceeded(ForestBuilderError):
-    """A memo table grew past its configured entry budget."""
+    """The covered-set levels outgrew the engine's entry budget."""
 
 
-# --- process and analysis inputs ---
-
-
-class EmptyGraph(ForestBuilderError):
-    """Operation needs at least one edge."""
-
-
-class DisconnectedInput(ForestBuilderError):
-    """Operation is only defined for connected graphs."""
-
-
-class InvalidOrdering(ForestBuilderError):
-    """An edge ordering is not a permutation of 0..m-1."""
-
-
-class InvalidSize(ForestBuilderError):
-    """A closed-form family parameter is outside its domain."""
-
-
-class ParameterOutOfRange(ForestBuilderError):
-    """A numeric argument violates a documented precondition."""
-
-
-class InvalidParameter(ForestBuilderError):
-    """A numeric argument is outside the region where a formula converges."""
+class GenerationTimeout(ForestBuilderError):
+    """A rejection-sampling generator exceeded its retry budget."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb, isqrt
 
-from .errors import GenerationTimeout, InfeasibleSpec
+from .errors import GenerationTimeout, ParameterOutOfRange
 from .graphs import Graph
 from .rng import SplitMix64, derive_seed
 
@@ -18,21 +18,21 @@ _REGULAR_RETRY_CAP = 10_000
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
-        raise InfeasibleSpec("complete graph needs n >= 1")
+        raise ParameterOutOfRange("complete graph needs n >= 1")
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
     """K_{s,t} with part A = 0..s-1, part B = s..s+t-1."""
     if s < 1 or t < 1:
-        raise InfeasibleSpec("complete bipartite needs s, t >= 1")
+        raise ParameterOutOfRange("complete bipartite needs s, t >= 1")
     return Graph(s + t, tuple((a, s + b) for a in range(s) for b in range(t)))
 
 
 def complete_multipartite(sizes: tuple[int, ...]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive label ranges."""
     if not sizes or any(s < 1 for s in sizes):
-        raise InfeasibleSpec("part sizes must all be >= 1")
+        raise ParameterOutOfRange("part sizes must all be >= 1")
     part = []
     for pid, size in enumerate(sizes):
         part.extend([pid] * size)
@@ -46,13 +46,13 @@ def complete_multipartite(sizes: tuple[int, ...]) -> Graph:
 def path_graph(n: int) -> Graph:
     """Path on n vertices (n - 1 edges)."""
     if n < 1:
-        raise InfeasibleSpec("path needs n >= 1")
+        raise ParameterOutOfRange("path needs n >= 1")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise InfeasibleSpec("cycle needs n >= 3")
+        raise ParameterOutOfRange("cycle needs n >= 3")
     edges = [(i, i + 1) for i in range(n - 1)]
     edges.append((0, n - 1))
     return Graph(n, tuple(edges))
@@ -61,7 +61,7 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center labeled 0."""
     if leaves < 1:
-        raise InfeasibleSpec("star needs at least one leaf")
+        raise ParameterOutOfRange("star needs at least one leaf")
     return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
@@ -72,7 +72,7 @@ def balanced_bipartite_plus_edge(k: int) -> Graph:
     vertices of B.
     """
     if k < 1:
-        raise InfeasibleSpec("needs k >= 1")
+        raise ParameterOutOfRange("needs k >= 1")
     base = complete_bipartite(k, k + 1)
     return base.add_edge(k, k + 1)
 
@@ -80,12 +80,12 @@ def balanced_bipartite_plus_edge(k: int) -> Graph:
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with n vertices and m edges; pure function of the seed."""
     if n < 1:
-        raise InfeasibleSpec("gnm needs n >= 1")
+        raise ParameterOutOfRange("gnm needs n >= 1")
     total = comb(n, 2)
     if not 0 <= m <= total:
-        raise InfeasibleSpec(f"gnm needs 0 <= m <= {total}")
+        raise ParameterOutOfRange(f"gnm needs 0 <= m <= {total}")
     if total > 1 << 64:
-        raise InfeasibleSpec(f"gnm draws one of at most 2**64 vertex pairs, got C({n}, 2)")
+        raise ParameterOutOfRange(f"gnm draws one of at most 2**64 vertex pairs, got C({n}, 2)")
     rng = SplitMix64(derive_seed(seed, 0x6E6D))
     # index q names the q-th pair (i, j), i < j, in row-major order; row r
     # starts at index r(2n - r - 1)/2, so q's row is the floor of the smaller
@@ -109,12 +109,12 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     n >= 7.  When the retry budget runs out and d > n - 1 - d, the result is
     the complement of the (n - 1 - d)-regular graph of the same seed; every
     spec the pairing model draws keeps its graph.  Raises GenerationTimeout
-    when that fails too, InfeasibleSpec when n*d is odd or d >= n.
+    when that fails too, ParameterOutOfRange when n*d is odd or d >= n.
     """
     if n < 1 or d < 0:
-        raise InfeasibleSpec("regular graph needs n >= 1 and d >= 0")
+        raise ParameterOutOfRange("regular graph needs n >= 1 and d >= 0")
     if d >= n or (n * d) % 2 == 1:
-        raise InfeasibleSpec(f"no simple {d}-regular graph on {n} vertices")
+        raise ParameterOutOfRange(f"no simple {d}-regular graph on {n} vertices")
     if d == n - 1:
         return complete_graph(n)
     for attempt in range(_REGULAR_RETRY_CAP):

@@ -11,7 +11,7 @@ as text: `serialize_graph6` packs the identity ordering's string, and
 
 from __future__ import annotations
 
-from .errors import MalformedGraph6, UnsupportedSize
+from .errors import InvalidGraph, SizeCapExceeded
 from .graphs import Graph
 
 _MAX_N = 62
@@ -37,35 +37,35 @@ def _pack(n: int, bits: int) -> str:
 
 def serialize_graph6(g: Graph) -> str:
     if g.n > _MAX_N:
-        raise UnsupportedSize(f"graph6 short form caps at {_MAX_N} vertices")
+        raise SizeCapExceeded(f"graph6 short form caps at {_MAX_N} vertices")
     return _pack(g.n, _bits(g))
 
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
-        raise MalformedGraph6("empty graph6 string")
+        raise InvalidGraph("empty graph6 string")
     codes = [ord(c) for c in s]
     if codes[0] == 126:
-        raise UnsupportedSize("long-form graph6 (>= 63 vertices) not supported")
+        raise SizeCapExceeded("long-form graph6 (>= 63 vertices) not supported")
     if not 63 <= codes[0] <= 63 + _MAX_N:
-        raise MalformedGraph6(f"bad header byte {codes[0]}")
+        raise InvalidGraph(f"bad header byte {codes[0]}")
     n = codes[0] - 63
     body = codes[1:]
     nbits = n * (n - 1) // 2
     expected = (nbits + 5) // 6
     if len(body) != expected:
-        raise MalformedGraph6(
+        raise InvalidGraph(
             f"{n}-vertex graph6 needs {expected} body bytes, got {len(body)}"
         )
     bits = 0
     for c in body:
         if not 63 <= c <= 126:
-            raise MalformedGraph6(f"body byte {c} outside graph6 range")
+            raise InvalidGraph(f"body byte {c} outside graph6 range")
         bits = bits << 6 | c - 63
     pad = 6 * expected - nbits
     if bits & ((1 << pad) - 1):
-        raise MalformedGraph6("nonzero padding bits")
+        raise InvalidGraph("nonzero padding bits")
     bits >>= pad
     top = nbits - 1  # pair (u, v) at v(v-1)/2 + u from the top, as `_bits` writes it
     pairs = ((u, v) for v in range(1, n) for u in range(v))

@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DuplicateEdge,
-    EmptyGraph,
-    MalformedEdgeList,
-    SelfLoop,
-    SizeCapExceeded,
-    VertexOutOfRange,
-)
+from .errors import InvalidGraph, SizeCapExceeded
 
 CHEEGER_VERTEX_CAP = 20
 
@@ -61,18 +54,18 @@ class Graph:
 def from_edge_list(n: int, pairs: list[tuple[int, int]]) -> Graph:
     """Validated constructor; raises on bad endpoints, loops, duplicates."""
     if n < 0:
-        raise VertexOutOfRange("vertex count must be nonnegative")
+        raise InvalidGraph("vertex count must be nonnegative")
     seen: set[tuple[int, int]] = set()
     edges = []
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise InvalidGraph(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
+            raise InvalidGraph(f"self-loop at vertex {u}")
         if u > v:
             u, v = v, u
         if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u},{v}) repeated")
+            raise InvalidGraph(f"edge ({u},{v}) repeated")
         seen.add((u, v))
         edges.append((u, v))
     return Graph(n, tuple(edges))
@@ -93,17 +86,17 @@ def parse_edge_list(text: str) -> Graph:
         fields = line.split()
         if header is None:
             if len(fields) != 2:
-                raise MalformedEdgeList('first line must be "n m"')
+                raise InvalidGraph('first line must be "n m"')
             header = _int_pair(fields, line)
             continue
         if len(fields) != 2:
-            raise MalformedEdgeList(f"bad edge line: {line!r}")
+            raise InvalidGraph(f"bad edge line: {line!r}")
         pairs.append(_int_pair(fields, line))
     if header is None:
-        raise MalformedEdgeList("empty edge list input")
+        raise InvalidGraph("empty edge list input")
     n, m = header
     if len(pairs) != m:
-        raise MalformedEdgeList(f"header says {m} edges, found {len(pairs)}")
+        raise InvalidGraph(f"header says {m} edges, found {len(pairs)}")
     return from_edge_list(n, pairs)
 
 
@@ -111,7 +104,7 @@ def _int_pair(fields: list[str], line: str) -> tuple[int, int]:
     try:
         return int(fields[0]), int(fields[1])
     except ValueError:
-        raise MalformedEdgeList(f"non-integer field in line {line!r}") from None
+        raise InvalidGraph(f"non-integer field in line {line!r}") from None
 
 
 def format_edge_list(g: Graph) -> str:
@@ -182,7 +175,7 @@ def cheeger_constant(g: Graph) -> Fraction:
     the degree sum of X.  Disconnected graphs have constant 0.
     """
     if g.m == 0:
-        raise EmptyGraph("cheeger constant needs at least one edge")
+        raise InvalidGraph("cheeger constant needs at least one edge")
     if g.n > CHEEGER_VERTEX_CAP:
         raise SizeCapExceeded(f"cheeger cap is {CHEEGER_VERTEX_CAP} vertices, got {g.n}")
     if not is_connected(g):

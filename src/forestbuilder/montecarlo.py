@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .engine import _scan
-from .errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
+from .errors import InvalidGraph, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
 from .graphs import CHEEGER_VERTEX_CAP, Graph, cheeger_constant
 from .rng import SplitMix64, _derived_seeds, derive_seed
@@ -59,7 +59,7 @@ def _moments(counts: dict[int, int], trials: int) -> tuple[float, float]:
 def estimate_distribution(g: Graph, trials: int, seed: int) -> EstimatedDistribution:
     """Empirical component-count distribution from `trials` seeded orderings."""
     if g.m == 0:
-        raise EmptyGraph("estimation needs at least one edge")
+        raise InvalidGraph("estimation needs at least one edge")
     if trials < 1:
         raise ParameterOutOfRange("needs trials >= 1")
     counts: dict[int, int] = {}
@@ -111,7 +111,7 @@ def single_component_decay(
         raise ParameterOutOfRange("needs trials >= 1")
     for n in n_values:
         if d >= n or (n * d) % 2 == 1:
-            raise InfeasibleSpec(f"no simple {d}-regular graph on {n} vertices")
+            raise ParameterOutOfRange(f"no simple {d}-regular graph on {n} vertices")
     rows = []
     for idx, n in enumerate(n_values):
         g = random_regular_graph(n, d, derive_seed(seed, idx))

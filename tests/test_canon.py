@@ -239,7 +239,7 @@ def test_edge_transitive_families():
 
 def test_vertex_cap():
     big = Graph(CANONICAL_VERTEX_CAP + 1, ((0, 1),))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="canonical labeling cap is 16 vertices, got 17"):
         canonical_key(big)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="automorphism cap is 16 vertices, got 17"):
         is_edge_transitive(Graph(CANONICAL_VERTEX_CAP + 1, ((0, 1), (1, 2))))

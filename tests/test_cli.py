@@ -404,9 +404,25 @@ def test_poly_past_the_matching_budget_exits_one(capsys):
     assert "matching budget of 1048576 entries exhausted" in capsys.readouterr().err
 
 
-def test_computation_errors_exit_one(capsys):
-    assert run(["closed", "kn", "--n", "1"]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_computation_errors_exit_one(capsys, tmp_path):
+    # one invocation per error kind but the memory budget (see above); the CLI prints
+    # only the message, so each line is the library's message unchanged
+    loop = tmp_path / "loop.txt"
+    loop.write_text("2 1\n0 0\n")
+    cases = [
+        (["poly", "--edges", str(loop)], "self-loop at vertex 0"),
+        (["one-comp", "--g6", "C?"], "one-component probability needs at least one edge"),
+        (["closed", "kn", "--n", "1"], "complete distribution needs n >= 2"),
+        (["poly", "--g6", "~??"], "long-form graph6 (>= 63 vertices) not supported"),
+        (["poly", "--method", "brute", "--family", "kn", "--n", "6"],
+         "brute force cap is 10 edges, got 15"),
+        (["simulate", "--family", "regular", "--n", "24", "--d", "11", "--graph-seed", "1",
+          "--trials", "1", "--seed", "1"],
+         "no simple pairing found for n=24, d=11 in 10000 tries"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert run(["poly", "--g6", "A`"]) == 1
     capsys.readouterr()
     assert run(["cheeger", "--family", "kn", "--n", "25"]) == 1

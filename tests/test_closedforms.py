@@ -22,7 +22,7 @@ from forestbuilder.closedforms import (
     path_series_coefficients,
 )
 from forestbuilder.engine import brute_force_distribution, single_component_probability
-from forestbuilder.errors import InvalidParameter, InvalidSize, ParameterOutOfRange
+from forestbuilder.errors import ParameterOutOfRange
 from forestbuilder.families import cycle_graph, path_graph
 from forestbuilder.graphs import Graph
 
@@ -36,7 +36,7 @@ def test_complete_distribution_known_values():
         dist = complete_distribution(n)
         assert dist.total() == 1
         assert dist.n == n and dist.m == comb(n, 2)
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ParameterOutOfRange, match="complete distribution needs n >= 2"):
         complete_distribution(1)
 
 
@@ -49,7 +49,7 @@ def test_bipartite_distribution_known_values():
             dist = bipartite_distribution(s, t)
             assert dist.total() == 1
             assert dist.n == s + t and dist.m == s * t
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ParameterOutOfRange, match="bipartite distribution needs s, t >= 1"):
         bipartite_distribution(0, 3)
 
 
@@ -75,12 +75,9 @@ def test_q_boundary_and_conventions():
 
 
 def test_q_rejects_out_of_range_arguments():
-    with pytest.raises(ParameterOutOfRange):
-        bipartite_q(2, 2, 3, 2, 1)
-    with pytest.raises(ParameterOutOfRange):
-        bipartite_q(2, 2, 2, -1, 1)
-    with pytest.raises(ParameterOutOfRange):
-        bipartite_q(0, 2, 0, 2, 1)
+    for args in [(2, 2, 3, 2, 1), (2, 2, 2, -1, 1), (0, 2, 0, 2, 1)]:
+        with pytest.raises(ParameterOutOfRange, match="need s,t >= 1, 0 <= a <= s, 0 <= b <= t"):
+            bipartite_q(*args)
     with pytest.raises(ParameterOutOfRange, match="l >= -1 required"):
         bipartite_q(2, 2, 2, 2, -2)
     with pytest.raises(ParameterOutOfRange, match="0 <= b <= t"):
@@ -97,6 +94,11 @@ def test_expectation_formulas():
             expect = bipartite_distribution(s, t).expected_components()
             assert expect == Fraction(s * t, s + t - 1)
             assert bipartite_expected_components(s, t) == expect
+    # one condition, one class, as for gnm_expected_components
+    with pytest.raises(ParameterOutOfRange, match="needs n >= 2"):
+        complete_expected_components(1)
+    with pytest.raises(ParameterOutOfRange, match="needs s, t >= 1"):
+        bipartite_expected_components(0, 1)
 
 
 def test_gnm_expectation_values():
@@ -104,18 +106,17 @@ def test_gnm_expectation_values():
     for n in range(2, 7):
         assert gnm_expected_components(n, 1) == 1
         assert gnm_expected_components(n, comb(n, 2)) == complete_expected_components(n)
-    with pytest.raises(ParameterOutOfRange):
-        gnm_expected_components(4, 0)
-    with pytest.raises(ParameterOutOfRange):
-        gnm_expected_components(4, 7)
-    with pytest.raises(ParameterOutOfRange):
+    for m in [0, 7]:
+        with pytest.raises(ParameterOutOfRange, match="needs 1 <= m <= 6"):
+            gnm_expected_components(4, m)
+    with pytest.raises(ParameterOutOfRange, match="needs n >= 2"):
         gnm_expected_components(1, 1)
 
 
 def test_gnm_lower_bound_form():
     assert gnm_expectation_lower_bound(4, 6) == Fraction(6, 5)
     assert gnm_expectation_lower_bound(5, 3) == Fraction(18, 14)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="needs n >= 2 and m >= 1"):
         gnm_expectation_lower_bound(4, 0)
 
 
@@ -132,7 +133,7 @@ def test_path_distribution_small_and_oracle():
         dist = path_distribution(n)
         assert dist.n == n + 1 and dist.m == n
         assert dist.probs == brute_force_distribution(path_graph(n + 1)).probs
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ParameterOutOfRange, match="path distribution needs n >= 1 edges"):
         path_distribution(0)
 
 
@@ -140,9 +141,9 @@ def test_series_coefficients_start_at_known_values():
     series = path_series_coefficients(2.0, 5)
     assert series[0] == 1.0
     assert series[1] == pytest.approx(2.0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ParameterOutOfRange, match="series parameter must satisfy x > 1"):
         path_series_coefficients(1.0, 5)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ParameterOutOfRange, match="need count >= 1"):
         path_series_coefficients(2.0, 0)
 
 
@@ -153,7 +154,7 @@ def test_series_sums_to_tangent_closed_form():
             partial = sum(c * t**i for i, c in enumerate(series))
             assert math.isclose(partial, path_generating_value(x, t), rel_tol=1e-9)
     assert path_generating_value(2.0, 0.0) == pytest.approx(1.0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(ParameterOutOfRange, match="needs x > 1"):
         path_generating_value(1.0, 0.1)
 
 
@@ -175,7 +176,7 @@ def test_gnm_expectation_matches_exhaustive_labeled_average(engine):
 def test_matching_identity():
     for big_n in range(31):
         assert matching_identity_lhs(big_n) == comb(2 * big_n, big_n)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="needs N >= 0"):
         matching_identity_lhs(-1)
 
 
@@ -186,5 +187,5 @@ def test_cycle_single_component_values(engine):
         value = Fraction(n * 2 ** (n - 2), factorial(n))
         assert cycle_single_component(n) == value
         assert single_component_probability(cycle_graph(n), engine) == value
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ParameterOutOfRange, match="cycle needs n >= 3"):
         cycle_single_component(2)

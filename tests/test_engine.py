@@ -18,11 +18,10 @@ from forestbuilder.engine import (
     single_component_probability,
 )
 from forestbuilder.errors import (
-    DisconnectedInput,
-    EmptyGraph,
-    InvalidOrdering,
+    InvalidGraph,
     MemoryBudgetExceeded,
-    TooManyEdges,
+    ParameterOutOfRange,
+    SizeCapExceeded,
 )
 from forestbuilder.families import (
     complete_bipartite,
@@ -121,10 +120,10 @@ def test_run_process_can_build_two_trees():
 
 
 def test_run_process_rejects_non_permutations():
-    with pytest.raises(InvalidOrdering):
-        run_process(path_graph(3), (0, 0))
-    with pytest.raises(InvalidOrdering):
-        run_process(path_graph(3), (0,))
+    message = r"ordering must be a permutation of 0\.\.m-1"
+    for ordering in [(0, 0), (0,)]:
+        with pytest.raises(ParameterOutOfRange, match=message):
+            run_process(path_graph(3), ordering)
 
 
 def test_process_output_is_a_spanning_forest():
@@ -179,7 +178,7 @@ def test_brute_force_agrees_with_direct_permutation_sum():
 
 
 def test_brute_force_edge_cap():
-    with pytest.raises(TooManyEdges):
+    with pytest.raises(SizeCapExceeded, match="brute force cap is 10 edges, got 11"):
         brute_force_distribution(star_graph(11))
 
 
@@ -257,7 +256,7 @@ def test_expected_components_edge_sum():
     assert expected_components(complete_graph(4)) == Fraction(6, 5)
     assert expected_components(complete_bipartite(2, 2)) == Fraction(4, 3)
     assert expected_components(path_graph(4)) == Fraction(4, 3)
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(InvalidGraph, match="expectation needs at least one edge"):
         expected_components(Graph(3, ()))
 
 
@@ -265,9 +264,9 @@ def test_single_component_values(engine):
     assert single_component_probability(path_graph(4), engine) == Fraction(2, 3)
     assert single_component_probability(star_graph(5), engine) == 1
     assert single_component_probability(cycle_graph(4), engine) == Fraction(2, 3)
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(InvalidGraph, match="one-component probability needs at least one edge"):
         single_component_probability(Graph(2, ()), engine)
-    with pytest.raises(DisconnectedInput):
+    with pytest.raises(InvalidGraph, match="one-component probability needs a connected graph"):
         single_component_probability(from_edge_list(4, [(0, 1), (2, 3)]), engine)
 
 

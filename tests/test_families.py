@@ -1,12 +1,13 @@
 """Graph family generators, deterministic and seeded."""
 
+import re
 import tracemalloc
 from math import comb, isqrt
 
 import pytest
 
 from forestbuilder.canon import canonical_key
-from forestbuilder.errors import InfeasibleSpec
+from forestbuilder.errors import GenerationTimeout, ParameterOutOfRange
 from forestbuilder.families import (
     balanced_bipartite_plus_edge,
     complete_bipartite,
@@ -28,7 +29,7 @@ def test_complete_graph():
     assert k4.n == 4 and k4.m == 6
     assert k4.degrees() == [3, 3, 3, 3]
     assert complete_graph(1).m == 0
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="complete graph needs n >= 1"):
         complete_graph(0)
 
 
@@ -38,7 +39,7 @@ def test_complete_bipartite_parts():
     assert g.degrees() == [3, 3, 2, 2, 2]
     assert (0, 1) not in g.edges and (2, 3) not in g.edges
     assert (0, 2) in g.edges
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="complete bipartite needs s, t >= 1"):
         complete_bipartite(0, 3)
 
 
@@ -49,10 +50,9 @@ def test_complete_multipartite():
     assert complete_multipartite((4,)).m == 0
     two_parts = complete_multipartite((2, 3))
     assert canonical_key(two_parts) == canonical_key(complete_bipartite(2, 3))
-    with pytest.raises(InfeasibleSpec):
-        complete_multipartite(())
-    with pytest.raises(InfeasibleSpec):
-        complete_multipartite((2, 0))
+    for parts in [(), (2, 0)]:
+        with pytest.raises(ParameterOutOfRange, match="part sizes must all be >= 1"):
+            complete_multipartite(parts)
 
 
 def test_path_cycle_star():
@@ -61,11 +61,11 @@ def test_path_cycle_star():
     c5 = cycle_graph(5)
     assert c5.m == 5 and c5.degrees() == [2] * 5
     assert canonical_key(cycle_graph(3)) == canonical_key(complete_graph(3))
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="cycle needs n >= 3"):
         cycle_graph(2)
     s = star_graph(4)
     assert s.degrees() == [4, 1, 1, 1, 1]
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="star needs at least one leaf"):
         star_graph(0)
 
 
@@ -74,7 +74,7 @@ def test_balanced_bipartite_plus_edge():
     assert g.n == 5 and g.m == 7
     assert (2, 3) in g.edges  # the extra edge sits inside the larger part
     assert sorted(g.degrees()) == [2, 3, 3, 3, 3]
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="needs k >= 1"):
         balanced_bipartite_plus_edge(0)
 
 
@@ -88,12 +88,13 @@ def test_gnm_deterministic_and_valid():
         assert len(set(g.edges)) == 9
     assert gnm_random_graph(4, 6, seed=3) == complete_graph(4)
     assert gnm_random_graph(5, 0, seed=3).m == 0
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="gnm needs 0 <= m <= 6"):
         gnm_random_graph(4, 7, seed=0)
     # the fewest vertices with more than 2^64 pairs: past one draw's range
     n = isqrt(2**65) + 2
     assert comb(n - 1, 2) <= 2**64 < comb(n, 2)
-    with pytest.raises(InfeasibleSpec):
+    message = f"gnm draws one of at most 2**64 vertex pairs, got C({n}, 2)"
+    with pytest.raises(ParameterOutOfRange, match=re.escape(message)):
         gnm_random_graph(n, 1, seed=0)
 
 
@@ -135,10 +136,16 @@ def test_random_regular():
     # degree 0: the pairing loop has no stubs and returns the edgeless graph
     for n in (1, 2, 5, 8):
         assert random_regular_graph(n, 0, seed=3) == Graph(n, ())
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="no simple 3-regular graph on 5 vertices"):
         random_regular_graph(5, 3, seed=0)  # odd degree sum
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="no simple 4-regular graph on 4 vertices"):
         random_regular_graph(4, 4, seed=0)  # d >= n
+    with pytest.raises(ParameterOutOfRange, match="regular graph needs n >= 1 and d >= 0"):
+        random_regular_graph(4, -1, seed=0)
+    # every pairing fails, and d = 11 < n - 1 - d leaves no denser complement to draw
+    message = "no simple pairing found for n=24, d=11 in 10000 tries"
+    with pytest.raises(GenerationTimeout, match=message):
+        random_regular_graph(24, 11, seed=1)
 
 
 def test_random_regular_of_degree_n_minus_one_is_complete():

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from forestbuilder.errors import MalformedGraph6, UnsupportedSize
+from forestbuilder.errors import InvalidGraph, SizeCapExceeded
 from forestbuilder.families import complete_graph, gnm_random_graph
 from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph
@@ -63,21 +63,23 @@ def test_serialize_after_parse_is_identity():
 
 
 def test_rejects_malformed_strings():
-    bad_inputs = [
-        "",          # no header
-        "A",         # missing body byte
-        "Bww",       # body too long
-        "B" + chr(62),   # body byte below the printable range
-        "A" + chr(127),  # body byte above the printable range
-        "A`",        # nonzero padding bits
-    ]
-    for bad in bad_inputs:
-        with pytest.raises(MalformedGraph6):
+    bad_inputs = {
+        "": "empty graph6 string",
+        chr(62): "bad header byte 62",
+        "A": "2-vertex graph6 needs 1 body bytes, got 0",
+        "Bww": "3-vertex graph6 needs 1 body bytes, got 2",
+        "B" + chr(62): "body byte 62 outside graph6 range",
+        "A" + chr(127): "body byte 127 outside graph6 range",
+        "A`": "nonzero padding bits",
+    }
+    for bad, message in bad_inputs.items():
+        with pytest.raises(InvalidGraph, match=message):
             parse_graph6(bad)
 
 
 def test_size_limits():
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(SizeCapExceeded, match="graph6 short form caps at 62 vertices"):
         serialize_graph6(Graph(63, ()))
-    with pytest.raises(UnsupportedSize):
+    message = r"long-form graph6 \(>= 63 vertices\) not supported"
+    with pytest.raises(SizeCapExceeded, match=message):
         parse_graph6(chr(126) + "??")

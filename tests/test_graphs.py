@@ -1,5 +1,6 @@
 """Graph container, edge list text format, and structural helpers."""
 
+import re
 from fractions import Fraction
 from math import ceil
 from time import perf_counter
@@ -7,14 +8,7 @@ from time import perf_counter
 import pytest
 
 from forestbuilder.engine import forest_polynomial
-from forestbuilder.errors import (
-    DuplicateEdge,
-    EmptyGraph,
-    MalformedEdgeList,
-    SelfLoop,
-    SizeCapExceeded,
-    VertexOutOfRange,
-)
+from forestbuilder.errors import InvalidGraph, SizeCapExceeded
 from forestbuilder.families import (
     complete_bipartite,
     complete_graph,
@@ -44,12 +38,14 @@ def test_from_edge_list_normalizes_and_keeps_order():
 
 
 def test_from_edge_list_rejects_bad_input():
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(InvalidGraph, match=re.escape("edge (0,3) outside 0..2")):
         from_edge_list(3, [(0, 3)])
-    with pytest.raises(SelfLoop):
+    with pytest.raises(InvalidGraph, match="self-loop at vertex 0"):
         from_edge_list(3, [(0, 0)])
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(InvalidGraph, match=re.escape("edge (0,1) repeated")):
         from_edge_list(3, [(0, 1), (1, 0)])
+    with pytest.raises(InvalidGraph, match="vertex count must be nonnegative"):
+        from_edge_list(-1, [])
 
 
 def test_delete_edge_shifts_ids():
@@ -64,7 +60,7 @@ def test_delete_edge_shifts_ids():
 def test_add_edge_validates():
     g = path_graph(3).add_edge(0, 2)
     assert set(g.edges) == set(cycle_graph(3).edges)
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(InvalidGraph, match=re.escape("edge (0,2) repeated")):
         g.add_edge(2, 0)
 
 
@@ -89,17 +85,17 @@ def test_edge_list_text_ignores_comments_and_blanks():
 
 
 def test_edge_list_text_rejects_malformed():
-    bad_inputs = [
-        "",
-        "4\n0 1\n",
-        "4 2\n0 1\n",
-        "4 1\n0 1\n1 2\n",
-        "4 1\n0 1 2\n",
-        "4 x\n0 1\n",
-        "4 1\n0 1.5\n",
-    ]
-    for bad in bad_inputs:
-        with pytest.raises(MalformedEdgeList):
+    bad_inputs = {
+        "": "empty edge list input",
+        "4\n0 1\n": 'first line must be "n m"',
+        "4 2\n0 1\n": "header says 2 edges, found 1",
+        "4 1\n0 1\n1 2\n": "header says 1 edges, found 2",
+        "4 1\n0 1 2\n": "bad edge line: '0 1 2'",
+        "4 x\n0 1\n": "non-integer field in line '4 x'",
+        "4 1\n0 1.5\n": "non-integer field in line '0 1.5'",
+    }
+    for bad, message in bad_inputs.items():
+        with pytest.raises(InvalidGraph, match=re.escape(message)):
             parse_edge_list(bad)
 
 
@@ -176,7 +172,7 @@ def test_cheeger_complete_graphs():
 
 def test_cheeger_disconnected_and_errors():
     assert cheeger_constant(from_edge_list(4, [(0, 1), (2, 3)])) == 0
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(InvalidGraph, match="cheeger constant needs at least one edge"):
         cheeger_constant(Graph(3, ()))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="cheeger cap is 20 vertices, got 21"):
         cheeger_constant(Graph(21, ((0, 1),)))

@@ -10,7 +10,7 @@ from math import comb
 
 from forestbuilder.closedforms import gnm_expected_components
 from forestbuilder.engine import expected_components, run_process
-from forestbuilder.errors import EmptyGraph, InfeasibleSpec, ParameterOutOfRange
+from forestbuilder.errors import InvalidGraph, ParameterOutOfRange
 from forestbuilder.families import (
     complete_bipartite,
     complete_graph,
@@ -102,9 +102,9 @@ def test_mean_matches_expectation_on_random_graphs():
 
 
 def test_estimate_distribution_rejects_bad_input():
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(InvalidGraph, match="estimation needs at least one edge"):
         estimate_distribution(Graph(3, ()), 10, seed=0)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="needs trials >= 1"):
         estimate_distribution(complete_graph(3), 0, seed=0)
 
 
@@ -124,8 +124,11 @@ def test_gnm_expectation_estimate_matches_closed_form():
 
 
 def test_gnm_expectation_rejects_bad_parameters():
-    for args in ((1, 1, 1, 1), (4, 0, 1, 1), (4, 7, 1, 1), (4, 3, 0, 1), (4, 3, 1, 0)):
-        with pytest.raises(ParameterOutOfRange):
+    for args in ((1, 1, 1, 1), (4, 3, 0, 1), (4, 3, 1, 0)):
+        with pytest.raises(ParameterOutOfRange, match="needs n >= 2 and positive sample counts"):
+            estimate_gnm_expectation(*args, seed=0)
+    for args in ((4, 0, 1, 1), (4, 7, 1, 1)):
+        with pytest.raises(ParameterOutOfRange, match="needs 1 <= m <= 6"):
             estimate_gnm_expectation(*args, seed=0)
 
 
@@ -148,11 +151,13 @@ def test_decay_zero_hits_reports_infinite_rate():
 
 
 def test_decay_rejects_infeasible_requests():
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="no simple 3-regular graph on 5 vertices"):
         single_component_decay(3, [5], 10, seed=0)
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(ParameterOutOfRange, match="no simple 5-regular graph on 4 vertices"):
         single_component_decay(5, [4], 10, seed=0)
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="needs degree d >= 1, got d = 0"):
+        single_component_decay(0, [4], 10, seed=0)
+    with pytest.raises(ParameterOutOfRange, match="needs trials >= 1"):
         single_component_decay(2, [4], 0, seed=0)
 
 

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import forestbuilder
+from forestbuilder import errors
 
 
 def test_public_surface_is_pinned():
@@ -43,4 +44,21 @@ def test_public_surface_is_pinned():
         "serialize_graph6",
         "single_component_probability",
         "star_graph",
+    ]
+
+
+def test_error_taxonomy_is_pinned():
+    # one class per failure kind; a new kind is an API change that updates this list
+    defined = [
+        value.__name__
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.ForestBuilderError)
+    ]
+    assert sorted(defined) == [
+        "ForestBuilderError",
+        "GenerationTimeout",
+        "InvalidGraph",
+        "MemoryBudgetExceeded",
+        "ParameterOutOfRange",
+        "SizeCapExceeded",
     ]

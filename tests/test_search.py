@@ -8,7 +8,7 @@ import pytest
 import forestbuilder.search as search
 from forestbuilder.canon import canonical_key, is_edge_transitive
 from forestbuilder.engine import expected_components, forest_polynomial
-from forestbuilder.errors import SizeCapExceeded
+from forestbuilder.errors import ParameterOutOfRange, SizeCapExceeded
 from forestbuilder.graph6 import parse_graph6, serialize_graph6
 from forestbuilder.graphs import Graph, is_connected
 from forestbuilder.search import (
@@ -51,7 +51,7 @@ def labeled_trees_prufer(n: int):
     sequence space is n^(n-2) so this is only for testing scale.
     """
     if n < 1:
-        raise SizeCapExceeded("needs n >= 1")
+        raise ParameterOutOfRange("needs n >= 1")
     if n == 1:
         yield Graph(1, ())
         return
@@ -90,9 +90,9 @@ def labeled_trees_prufer(n: int):
 def test_connected_class_counts(connected_classes):
     for n, count in CONNECTED_CLASS_COUNTS.items():
         assert len(connected_classes[n]) == count
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"connected enumeration cap is 2\.\.8"):
         enumerate_connected_graphs(1)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"connected enumeration cap is 2\.\.8"):
         enumerate_connected_graphs(9)
 
 
@@ -104,7 +104,7 @@ def test_connected_enumeration_matches_exhaustive_oracle():
         # the connected keys, by (edge count, key)
         filtered = sorted((g.m, key) for key, g in classes.items() if is_connected(g))
         assert grown == [key for _, key in filtered]
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"exhaustive enumeration cap is 2\.\.6"):
         exhaustive_classes(7)
 
 
@@ -233,9 +233,9 @@ def test_tree_enumeration_counts():
         trees = enumerate_trees(n)
         assert len(trees) == count
         assert all(t.m == n - 1 and is_connected(t) for t in trees)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"tree enumeration cap is 1\.\.10"):
         enumerate_trees(0)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"tree enumeration cap is 1\.\.10"):
         enumerate_trees(11)
 
 
@@ -251,7 +251,7 @@ def test_tree_enumeration_matches_prufer_oracle():
 def test_prufer_degenerate_sizes():
     assert [g.edges for g in labeled_trees_prufer(1)] == [()]
     assert [g.edges for g in labeled_trees_prufer(2)] == [((0, 1),)]
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(ParameterOutOfRange, match="needs n >= 1"):
         list(labeled_trees_prufer(0))
 
 
@@ -267,7 +267,7 @@ def test_equal_polynomial_pair_census(engine):
             assert canonical_key(ga) != canonical_key(gb)
             assert forest_polynomial(ga, engine).probs == rep.shared_polynomial.probs
             assert forest_polynomial(gb, engine).probs == rep.shared_polynomial.probs
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"connected enumeration cap is 2\.\.8"):
         find_equal_polynomial_pairs(9, engine)
 
 
@@ -380,9 +380,9 @@ def test_conjecture_small_cases(engine):
         3: Fraction(1, 5),
     }
     assert third.holds is True
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"conjecture check cap is 1\.\.7"):
         check_conjecture(0, engine)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"conjecture check cap is 1\.\.7"):
         check_conjecture(8, engine)
 
 
@@ -390,14 +390,14 @@ def test_log_concavity_checks(engine):
     assert check_log_concavity(Graph(3, ()), engine)
     assert check_log_concavity(parse_graph6("DsW"), engine)
     assert sweep_log_concavity(5, engine) == []
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"connected enumeration cap is 2\.\.8"):
         sweep_log_concavity(1, engine)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"connected enumeration cap is 2\.\.8"):
         sweep_log_concavity(9, engine)
 
 
 def test_tree_pairs_empty_at_small_sizes(engine):
     for n in (1, 2, 6, 7):
         assert find_tree_pairs(n, engine) == []
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"tree enumeration cap is 1\.\.10"):
         find_tree_pairs(11, engine)
