@@ -394,7 +394,7 @@ def run(argv: list[str] | None = None) -> int:
     except ForestBuilderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:  # e.g. a per-vertex table for an edge list declaring 10^15 vertices
+    except MemoryError:  # e.g. the vertex list of --family multipartite --parts 10^15
         print("error: out of memory for this input", file=sys.stderr)
         return 1
     if output:

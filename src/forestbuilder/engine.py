@@ -27,8 +27,10 @@ is the number of covered sets of the largest component.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 
 from .distribution import ForestDistribution, convolve
@@ -120,7 +122,7 @@ def expected_components(g: Graph) -> Fraction:
     """Sum over edges uv of 1/(d(u) + d(v) - 1)."""
     if g.m == 0:
         raise InvalidGraph("expectation needs at least one edge")
-    degs = g.degrees()
+    degs = Counter(chain.from_iterable(g.edges))
     return sum((Fraction(1, degs[u] + degs[v] - 1) for u, v in g.edges), Fraction(0))
 
 

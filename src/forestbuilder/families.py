@@ -74,7 +74,7 @@ def balanced_bipartite_plus_edge(k: int) -> Graph:
     if k < 1:
         raise ParameterOutOfRange("needs k >= 1")
     base = complete_bipartite(k, k + 1)
-    return base.add_edge(k, k + 1)
+    return Graph(base.n, base.edges + ((k, k + 1),))
 
 
 def gnm_random_graph(n: int, m: int, seed: int) -> Graph:
@@ -122,19 +122,12 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            edge = (u, v) if u < v else (v, u)
+            if u == v or edge in edges:
                 break
-            if u > v:
-                u, v = v, u
-            if (u, v) in edges:
-                ok = False
-                break
-            edges.add((u, v))
-        if ok:
+            edges.add(edge)
+        else:
             return Graph(n, tuple(sorted(edges)))
     if n - 1 - d < d:
         sparse = set(random_regular_graph(n, n - 1 - d, seed).edges)

@@ -47,9 +47,6 @@ class Graph:
             raise IndexError(f"edge id {edge_id} out of range")
         return Graph(self.n, self.edges[:edge_id] + self.edges[edge_id + 1 :])
 
-    def add_edge(self, u: int, v: int) -> "Graph":
-        return from_edge_list(self.n, list(self.edges) + [(u, v)])
-
 
 def from_edge_list(n: int, pairs: list[tuple[int, int]]) -> Graph:
     """Validated constructor; raises on bad endpoints, loops, duplicates."""
@@ -113,23 +110,24 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _least(g: Graph) -> list[int]:
-    """Each vertex's least component-mate, or -1 for an isolated vertex.
+def _least(g: Graph) -> dict[int, int]:
+    """Each vertex that has an edge, mapped to its least component-mate.
 
-    Adjacency lists are kept only for vertices with edges: linear in n + m.
+    Isolated vertices are never visited: the walk starts from each vertex of
+    sorted(adj), so its time is linear in m plus the sort of those vertices.
     """
     adj: dict[int, list[int]] = {}
     for u, v in g.edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    least = [-1] * g.n
-    for start in range(g.n):
-        if least[start] < 0 and start in adj:
+    least: dict[int, int] = {}
+    for start in sorted(adj):
+        if start not in least:
             least[start] = start
             stack = [start]
             while stack:
                 for w in adj[stack.pop()]:
-                    if least[w] < 0:
+                    if w not in least:
                         least[w] = start
                         stack.append(w)
     return least
@@ -137,7 +135,7 @@ def _least(g: Graph) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     # a connected graph on n vertices has at least n - 1 edges
-    return g.n <= 1 or (g.m >= g.n - 1 and _least(g).count(0) == g.n)
+    return g.n <= 1 or (g.m >= g.n - 1 and list(_least(g).values()).count(0) == g.n)
 
 
 def components(g: Graph) -> list[Graph]:
@@ -147,12 +145,11 @@ def components(g: Graph) -> list[Graph]:
     original relative order; isolated vertices give no component.
     """
     least = _least(g)
-    index = [0] * g.n  # vertex -> its label within its component
+    index: dict[int, int] = {}  # vertex -> its label within its component
     sizes: dict[int, int] = {}
-    for v, root in enumerate(least):
-        if root >= 0:
-            index[v] = sizes.get(root, 0)
-            sizes[root] = index[v] + 1
+    for v, root in sorted(least.items()):
+        index[v] = sizes.get(root, 0)
+        sizes[root] = index[v] + 1
     edges: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges:
         edges.setdefault(least[u], []).append((index[u], index[v]))
@@ -185,20 +182,16 @@ def cheeger_constant(g: Graph) -> Fraction:
     total_vol = 2 * g.m
     best_num, best_den = 1, 0  # represents +infinity
     for subset in range(1, 1 << g.n):
-        vol = 0
+        vol = cut = 0
         rest = subset
         while rest:
             low = rest & -rest
             rest ^= low
-            vol += degs[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            vol += degs[v]
+            cut += (masks[v] & ~subset).bit_count()
         if 2 * vol > total_vol:
             continue
-        cut = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cut += (masks[low.bit_length() - 1] & ~subset).bit_count()
         # compare cut/vol < best_num/best_den without Fraction overhead
         if best_den == 0 or cut * best_den < best_num * vol:
             best_num, best_den = cut, vol

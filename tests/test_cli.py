@@ -360,13 +360,15 @@ def test_edge_list_with_non_integer_token_exits_one(capsys, tmp_path):
     assert "non-integer" in capsys.readouterr().err
 
 
-def test_edge_list_with_a_huge_vertex_count_exits_one(capsys, tmp_path):
-    # a per-vertex table for 10^15 vertices fails to allocate at once
+def test_edge_list_with_a_huge_vertex_count_is_solved(capsys, tmp_path):
+    # only the vertices that have edges are visited, so 10^15 isolated ones cost nothing
     source = tmp_path / "huge.txt"
     source.write_text("1000000000000000 1\n0 1\n")
-    for command in ("poly", "expect"):
-        assert run([command, "--edges", str(source)]) == 1
-        assert capsys.readouterr() == ("", "error: out of memory for this input\n")
+    assert run(["poly", "--edges", str(source)]) == 0
+    out = '{"n": 1000000000000000, "m": 1, "probs": {"1": "1/1"}}\n'
+    assert capsys.readouterr() == (out, "")
+    assert run(["expect", "--edges", str(source)]) == 0
+    assert capsys.readouterr() == ('{"value": "1/1"}\n', "")
 
 
 def test_unreadable_edge_list_file_is_a_usage_error(capsys, tmp_path):
@@ -419,6 +421,9 @@ def test_computation_errors_exit_one(capsys, tmp_path):
         (["simulate", "--family", "regular", "--n", "24", "--d", "11", "--graph-seed", "1",
           "--trials", "1", "--seed", "1"],
          "no simple pairing found for n=24, d=11 in 10000 tries"),
+        # a MemoryError, not a library error: complete_multipartite lists 10^15 vertices
+        (["poly", "--family", "multipartite", "--parts", "1000000000000000"],
+         "out of memory for this input"),
     ]
     for argv, message in cases:
         assert run(argv) == 1

@@ -7,7 +7,7 @@ from time import perf_counter
 
 import pytest
 
-from forestbuilder.engine import forest_polynomial
+from forestbuilder.engine import expected_components, forest_polynomial
 from forestbuilder.errors import InvalidGraph, SizeCapExceeded
 from forestbuilder.families import (
     complete_bipartite,
@@ -55,13 +55,6 @@ def test_delete_edge_shifts_ids():
     assert rest.edges == ((0, 1), (2, 3))
     with pytest.raises(IndexError):
         p4.delete_edge(3)
-
-
-def test_add_edge_validates():
-    g = path_graph(3).add_edge(0, 2)
-    assert set(g.edges) == set(cycle_graph(3).edges)
-    with pytest.raises(InvalidGraph, match=re.escape("edge (0,2) repeated")):
-        g.add_edge(2, 0)
 
 
 def test_adjacency_masks_match_edges():
@@ -116,17 +109,26 @@ def test_components_split_and_relabel():
 def test_components_skip_isolated_vertices():
     assert components(Graph(3, ())) == []
     assert components(from_edge_list(4, [(1, 2)])) == [Graph(2, ((0, 1),))]
-    # a million isolated vertices cost a list read each, not a mask sweep
+    # a million isolated vertices are never visited, nor swept by a mask
     t0 = perf_counter()
     assert forest_polynomial(Graph(10**6, ((0, 1),))).probs == {1: 1}
     assert perf_counter() - t0 < 1.0
-    # 50,000 separate edges are split in time and memory linear in n + m,
+    # 50,000 separate edges are split in memory linear in m (time: m plus a sort),
     # not by one n-bit neighbour mask per vertex
     matching = Graph(100_000, tuple((v, v + 1) for v in range(0, 100_000, 2)))
     t0 = perf_counter()
     assert not is_connected(matching)
     assert forest_polynomial(matching).probs == {50_000: 1}
     assert perf_counter() - t0 < 1.5
+
+
+def test_declared_vertex_count_sizes_no_table():
+    # 10^15 vertices, four of which have edges: no per-vertex table is built
+    g = Graph(10**15, ((0, 1), (5, 9)))
+    assert components(g) == [Graph(2, ((0, 1),)), Graph(2, ((0, 1),))]
+    assert not is_connected(g)
+    assert forest_polynomial(g).probs == {2: 1}
+    assert expected_components(g) == 2
 
 
 def test_components_partition_the_edges_of_random_graphs():
