@@ -14,15 +14,8 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from .distribution import ForestDistribution
+from .distribution import ForestDistribution, convolve
 from .errors import ParameterOutOfRange
-
-
-def _comb0(a: int, b: int) -> int:
-    """Binomial coefficient that is 0 for any out-of-range argument."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 def complete_distribution(n: int) -> ForestDistribution:
@@ -62,7 +55,9 @@ def bipartite_q(s: int, t: int, a: int, b: int, l: int) -> Fraction:
         raise ParameterOutOfRange("need s,t >= 1, 0 <= a <= s, 0 <= b <= t")
     if l < -1:
         raise ParameterOutOfRange("l >= -1 required")
-    return Fraction(_comb0(b, l) * _comb0(s + t - b - 1, a - l), comb(s + t - 1, a))
+    if not 0 <= l <= a:
+        return Fraction(0)
+    return Fraction(comb(b, l) * comb(s + t - b - 1, a - l), comb(s + t - 1, a))
 
 
 def complete_expected_components(n: int) -> Fraction:
@@ -84,15 +79,17 @@ def gnm_expected_components(n: int, m: int) -> Fraction:
 
     C(n,2)/(2n-3) * (1 - C(C(n,2)-m, 2n-3)/C(C(n,2), 2n-3)); the expectation
     telescopes over potential edges, each contributing a hypergeometric
-    tail term.
+    tail term.  The ratio equals C(C(n,2)-k, m)/C(C(n,2), m), k = 2n-3, so
+    both binomials are taken at r = min(m, k).
     """
     if n < 2:
         raise ParameterOutOfRange("needs n >= 2")
     total = comb(n, 2)
     if not 1 <= m <= total:
         raise ParameterOutOfRange(f"needs 1 <= m <= {total}")
-    miss = Fraction(_comb0(total - m, 2 * n - 3), comb(total, 2 * n - 3))
-    return Fraction(total, 2 * n - 3) * (1 - miss)
+    k, r = 2 * n - 3, min(m, 2 * n - 3)
+    miss = Fraction(comb(total - m - k + r, r), comb(total, r))
+    return Fraction(total, k) * (1 - miss)
 
 
 def gnm_expectation_lower_bound(n: int, m: int) -> Fraction:
@@ -103,20 +100,22 @@ def gnm_expectation_lower_bound(n: int, m: int) -> Fraction:
 
 
 def path_distribution(n: int) -> ForestDistribution:
-    """f_n for the path with n edges, via n*f_n = sum_i f_i * f_{n-1-i}."""
+    """f_n for the path with n edges, via n*f_n = sum_i f_i * f_{n-1-i}.
+
+    Each g_j maps a component count to ordering counts, g_j = j! f_j, so
+    g_j = sum_i C(j-1, i) g_i g_{j-1-i}, with g_0 = 1 and g_1 = x.
+    """
     if n < 1:
         raise ParameterOutOfRange("path distribution needs n >= 1 edges")
-    # coefficient maps indexed by component count; f_0 = 1, f_1 = x
-    f: list[dict[int, Fraction]] = [{0: Fraction(1)}, {1: Fraction(1)}]
+    g: list[dict[int, int]] = [{0: 1}, {1: 1}]
     for j in range(2, n + 1):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for i in range(j):
-            for ka, pa in f[i].items():
-                for kb, pb in f[j - 1 - i].items():
-                    k = ka + kb
-                    acc[k] = acc.get(k, Fraction(0)) + pa * pb
-        f.append({k: p / j for k, p in sorted(acc.items())})
-    return ForestDistribution(n + 1, n, dict(sorted(f[n].items())))
+            for k, c in convolve(g[i], g[j - 1 - i]).items():
+                acc[k] = acc.get(k, 0) + comb(j - 1, i) * c
+        g.append(acc)
+    total = factorial(n)
+    return ForestDistribution(n + 1, n, {k: Fraction(c, total) for k, c in sorted(g[n].items())})
 
 
 def path_series_coefficients(x: float, count: int) -> list[float]:
@@ -153,7 +152,7 @@ def matching_identity_lhs(big_n: int) -> int:
     if big_n < 0:
         raise ParameterOutOfRange("needs N >= 0")
     return sum(
-        2 ** (big_n - 2 * k) * comb(big_n, k) * _comb0(big_n - k, big_n - 2 * k)
+        2 ** (big_n - 2 * k) * comb(big_n, k) * comb(big_n - k, big_n - 2 * k)
         for k in range(big_n // 2 + 1)
     )
 

@@ -30,12 +30,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import comb, factorial
 
 from .distribution import ForestDistribution, convolve
 from .errors import InvalidGraph, MemoryBudgetExceeded, ParameterOutOfRange, SizeCapExceeded
-from .graphs import Graph, components, is_connected
+from .graphs import Graph, _compact, components, is_connected
 
 BRUTE_FORCE_EDGE_CAP = 10
 DEFAULT_MAX_MEMO_ENTRIES = 1 << 20
@@ -51,7 +52,7 @@ def run_process(g: Graph, ordering: list[int] | tuple[int, ...]) -> ProcessResul
     """Run the process for one explicit edge ordering."""
     if sorted(ordering) != list(range(g.m)):
         raise ParameterOutOfRange("ordering must be a permutation of 0..m-1")
-    kept, kappa = _scan(g.edges, g.n, ordering)
+    kept, kappa = _scan(*_compact(g), ordering)
     return ProcessResult(frozenset(kept), kappa)
 
 
@@ -80,39 +81,36 @@ def _scan(
 def brute_force_distribution(g: Graph) -> ForestDistribution:
     """Exact distribution by summing over all m! orderings.
 
-    DFS over sets of already-processed edges: the distribution of the rest
-    of the ordering depends only on that set (the touched vertices are
-    determined by it), so suffix counts are shared across prefixes.
+    DFS over sets of processed edges: an edge starts a tree exactly when no
+    processed edge shares an endpoint with it, so the rest of the ordering
+    depends only on that set and suffix counts are shared across prefixes.
     """
     m = g.m
     if m > BRUTE_FORCE_EDGE_CAP:
         raise SizeCapExceeded(f"brute force cap is {BRUTE_FORCE_EDGE_CAP} edges, got {m}")
     if m == 0:
         return ForestDistribution(g.n, 0, {})
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    # near[e]: the edges that share an endpoint with e
+    near = [sum(1 << f for f, (a, b) in enumerate(g.edges) if {a, b} & {u, v})
+            for u, v in g.edges]
     full = (1 << m) - 1
-    memo: dict[int, dict[int, int]] = {}
 
-    def suffix_counts(used: int, touched: int) -> dict[int, int]:
+    @cache
+    def suffix_counts(used: int) -> dict[int, int]:
         # counts[k] = number of orderings of the unused edges creating k trees
         if used == full:
             return {0: 1}
-        cached = memo.get(used)
-        if cached is not None:
-            return cached
         counts: dict[int, int] = {}
         for eid in range(m):
             bit = 1 << eid
             if used & bit:
                 continue
-            tree_event = 1 if (touched & edge_masks[eid]) == 0 else 0
-            for k, c in suffix_counts(used | bit, touched | edge_masks[eid]).items():
-                kk = k + tree_event
-                counts[kk] = counts.get(kk, 0) + c
-        memo[used] = counts
+            tree_event = int(not used & near[eid])
+            for k, c in suffix_counts(used | bit).items():
+                counts[k + tree_event] = counts.get(k + tree_event, 0) + c
         return counts
 
-    orderings_by_k = suffix_counts(0, 0)
+    orderings_by_k = suffix_counts(0)
     total = sum(orderings_by_k.values())
     probs = {k: Fraction(c, total) for k, c in sorted(orderings_by_k.items())}
     return ForestDistribution(g.n, m, probs)

@@ -133,6 +133,14 @@ def _least(g: Graph) -> dict[int, int]:
     return least
 
 
+def _compact(g: Graph) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The edges, same ids, with endpoints renamed 0..n'-1 in first-seen order; and n' <= 2m."""
+    index: dict[int, int] = {}
+    edges = tuple((index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+                  for u, v in g.edges)
+    return edges, len(index)
+
+
 def is_connected(g: Graph) -> bool:
     # a connected graph on n vertices has at least n - 1 edges
     return g.n <= 1 or (g.m >= g.n - 1 and list(_least(g).values()).count(0) == g.n)
@@ -161,8 +169,7 @@ def edge_codegree(g: Graph, edge_id: int) -> int:
     if not 0 <= edge_id < g.m:
         raise IndexError(f"edge id {edge_id} out of range")
     u, v = g.edges[edge_id]
-    degs = g.degrees()
-    return degs[u] + degs[v] - 2
+    return sum(1 for a, b in g.edges if a in (u, v) or b in (u, v)) - 1
 
 
 def cheeger_constant(g: Graph) -> Fraction:

@@ -17,7 +17,7 @@ from math import comb
 from .engine import _scan
 from .errors import InvalidGraph, ParameterOutOfRange
 from .families import gnm_random_graph, random_regular_graph
-from .graphs import CHEEGER_VERTEX_CAP, Graph, cheeger_constant
+from .graphs import CHEEGER_VERTEX_CAP, Graph, _compact, cheeger_constant
 from .rng import SplitMix64, _derived_seeds, derive_seed
 
 
@@ -35,15 +35,11 @@ class EstimatedDistribution:
 def _tally(g: Graph, seeds: Iterable[int], counts: dict[int, int]) -> None:
     """Count kappa over one process run per seed, each shuffling range(m) afresh.
 
-    The scan runs over the endpoints relabeled 0..n'-1 in first-seen order:
-    isolated vertices never touch kappa, so a trial costs O(m), not O(n).
+    The scan runs over `_compact(g)`, so a trial costs O(m), not O(n).
     """
-    index: dict[int, int] = {}
-    edges = tuple((index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-                  for u, v in g.edges)
-    n, m = len(index), g.m
+    edges, n = _compact(g)
     for seed in seeds:
-        order = list(range(m))
+        order = list(range(len(edges)))
         SplitMix64(seed).shuffle(order)
         kappa = _scan(edges, n, order)[1]
         counts[kappa] = counts.get(kappa, 0) + 1

@@ -367,6 +367,13 @@ def test_edge_list_with_a_huge_vertex_count_is_solved(capsys, tmp_path):
     assert run(["poly", "--edges", str(source)]) == 0
     out = '{"n": 1000000000000000, "m": 1, "probs": {"1": "1/1"}}\n'
     assert capsys.readouterr() == (out, "")
+    # brute force keys by used edges, so the largest label sizes no table either
+    far = tmp_path / "far.txt"
+    far.write_text("1000000000000000 1\n0 999999999999999\n")
+    for method in ("exact", "brute"):
+        for path in (source, far):
+            assert run(["poly", "--method", method, "--edges", str(path)]) == 0
+            assert capsys.readouterr() == (out, "")
     assert run(["expect", "--edges", str(source)]) == 0
     assert capsys.readouterr() == ('{"value": "1/1"}\n', "")
 

@@ -21,7 +21,11 @@ from forestbuilder.closedforms import (
     path_generating_value,
     path_series_coefficients,
 )
-from forestbuilder.engine import brute_force_distribution, single_component_probability
+from forestbuilder.engine import (
+    brute_force_distribution,
+    expected_components,
+    single_component_probability,
+)
 from forestbuilder.errors import ParameterOutOfRange
 from forestbuilder.families import cycle_graph, path_graph
 from forestbuilder.graphs import Graph
@@ -133,6 +137,9 @@ def test_path_distribution_small_and_oracle():
         dist = path_distribution(n)
         assert dist.n == n + 1 and dist.m == n
         assert dist.probs == brute_force_distribution(path_graph(n + 1)).probs
+    dist = path_distribution(40)
+    assert dist.total() == 1
+    assert dist.expected_components() == expected_components(path_graph(41))
     with pytest.raises(ParameterOutOfRange, match="path distribution needs n >= 1 edges"):
         path_distribution(0)
 

@@ -7,7 +7,13 @@ from time import perf_counter
 
 import pytest
 
-from forestbuilder.engine import expected_components, forest_polynomial
+from forestbuilder.engine import (
+    ProcessResult,
+    brute_force_distribution,
+    expected_components,
+    forest_polynomial,
+    run_process,
+)
 from forestbuilder.errors import InvalidGraph, SizeCapExceeded
 from forestbuilder.families import (
     complete_bipartite,
@@ -27,6 +33,7 @@ from forestbuilder.graphs import (
     is_connected,
     parse_edge_list,
 )
+from forestbuilder.montecarlo import estimate_distribution
 
 
 def test_from_edge_list_normalizes_and_keeps_order():
@@ -129,6 +136,14 @@ def test_declared_vertex_count_sizes_no_table():
     assert not is_connected(g)
     assert forest_polynomial(g).probs == {2: 1}
     assert expected_components(g) == 2
+    assert run_process(g, [1, 0]) == ProcessResult(frozenset({0, 1}), 2)
+    assert edge_codegree(g, 0) == 0
+    assert brute_force_distribution(g).probs == {2: 1}
+    assert estimate_distribution(g, 5, 1).counts == {2: 5}
+    # brute force sees which edges meet, not vertex names: C_10 spread x 10^6 is C_10
+    c10 = cycle_graph(10)
+    spread = Graph(10**7, tuple((u * 10**6, v * 10**6) for u, v in c10.edges))
+    assert brute_force_distribution(spread).probs == brute_force_distribution(c10).probs
 
 
 def test_components_partition_the_edges_of_random_graphs():
