@@ -103,16 +103,18 @@ def path_distribution(n: int) -> ForestDistribution:
     """f_n for the path with n edges, via n*f_n = sum_i f_i * f_{n-1-i}.
 
     Each g_j maps a component count to ordering counts, g_j = j! f_j, so
-    g_j = sum_i C(j-1, i) g_i g_{j-1-i}, with g_0 = 1 and g_1 = x.
+    g_j = sum_i C(j-1, i) g_i g_{j-1-i}, with g_0 = 1 and g_1 = x; the i and
+    j-1-i terms are equal, so the first half is summed twice, the middle once.
     """
     if n < 1:
         raise ParameterOutOfRange("path distribution needs n >= 1 edges")
     g: list[dict[int, int]] = [{0: 1}, {1: 1}]
     for j in range(2, n + 1):
         acc: dict[int, int] = {}
-        for i in range(j):
+        for i in range((j + 1) // 2):
+            w = comb(j - 1, i) * (1 if 2 * i == j - 1 else 2)
             for k, c in convolve(g[i], g[j - 1 - i]).items():
-                acc[k] = acc.get(k, 0) + comb(j - 1, i) * c
+                acc[k] = acc.get(k, 0) + w * c
         g.append(acc)
     total = factorial(n)
     return ForestDistribution(n + 1, n, {k: Fraction(c, total) for k, c in sorted(g[n].items())})

@@ -52,15 +52,14 @@ def run_process(g: Graph, ordering: list[int] | tuple[int, ...]) -> ProcessResul
     """Run the process for one explicit edge ordering."""
     if sorted(ordering) != list(range(g.m)):
         raise ParameterOutOfRange("ordering must be a permutation of 0..m-1")
-    kept, kappa = _scan(*_compact(g), ordering)
+    kept, kappa = _scan(_compact(g.edges), ordering)
     return ProcessResult(frozenset(kept), kappa)
 
 
-def _scan(
-    edges: tuple[tuple[int, int], ...], n: int, order: list[int] | tuple[int, ...]
-) -> tuple[list[int], int]:
+def _scan(g: Graph, order: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
     """Kept edge ids and kappa over `order`; the caller ensures it is a permutation."""
-    touched = [False] * n
+    edges = g.edges
+    touched = [False] * g.n
     kept = []
     kappa = 0
     for eid in order:

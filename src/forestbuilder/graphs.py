@@ -133,12 +133,13 @@ def _least(g: Graph) -> dict[int, int]:
     return least
 
 
-def _compact(g: Graph) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The edges, same ids, with endpoints renamed 0..n'-1 in first-seen order; and n' <= 2m."""
-    index: dict[int, int] = {}
-    edges = tuple((index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-                  for u, v in g.edges)
-    return edges, len(index)
+def _compact(edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
+    """The edges, same ids, with endpoints renamed 0..n'-1 in vertex order.
+
+    The package's one vertex rename: it keeps order, so u < v stays u' < v'.
+    """
+    index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return Graph(len(index), tuple((index[u], index[v]) for u, v in edges))
 
 
 def is_connected(g: Graph) -> bool:
@@ -149,19 +150,14 @@ def is_connected(g: Graph) -> bool:
 def components(g: Graph) -> list[Graph]:
     """The connected components that have edges, in order of least vertex.
 
-    Each is relabelled 0..k-1 in vertex order and keeps its edges in the
-    original relative order; isolated vertices give no component.
+    Each is `_compact` of its edges, in their original relative order, so it
+    is relabelled 0..k-1 in vertex order; isolated vertices give no component.
     """
     least = _least(g)
-    index: dict[int, int] = {}  # vertex -> its label within its component
-    sizes: dict[int, int] = {}
-    for v, root in sorted(least.items()):
-        index[v] = sizes.get(root, 0)
-        sizes[root] = index[v] + 1
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for u, v in g.edges:
-        edges.setdefault(least[u], []).append((index[u], index[v]))
-    return [Graph(sizes[s], tuple(e)) for s, e in sorted(edges.items())]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        groups.setdefault(least[e[0]], []).append(e)
+    return [_compact(e) for _, e in sorted(groups.items())]
 
 
 def edge_codegree(g: Graph, edge_id: int) -> int:

@@ -35,13 +35,14 @@ class EstimatedDistribution:
 def _tally(g: Graph, seeds: Iterable[int], counts: dict[int, int]) -> None:
     """Count kappa over one process run per seed, each shuffling range(m) afresh.
 
-    The scan runs over `_compact(g)`, so a trial costs O(m), not O(n).
+    The scan runs over `_compact(g.edges)`, the vertex-order rename that
+    `components` also uses, so a trial costs O(m), not O(n).
     """
-    edges, n = _compact(g)
+    c = _compact(g.edges)
     for seed in seeds:
-        order = list(range(len(edges)))
+        order = list(range(c.m))
         SplitMix64(seed).shuffle(order)
-        kappa = _scan(edges, n, order)[1]
+        kappa = _scan(c, order)[1]
         counts[kappa] = counts.get(kappa, 0) + 1
 
 

@@ -24,6 +24,7 @@ from forestbuilder.closedforms import (
 from forestbuilder.engine import (
     brute_force_distribution,
     expected_components,
+    forest_polynomial,
     single_component_probability,
 )
 from forestbuilder.errors import ParameterOutOfRange
@@ -137,6 +138,7 @@ def test_path_distribution_small_and_oracle():
         dist = path_distribution(n)
         assert dist.n == n + 1 and dist.m == n
         assert dist.probs == brute_force_distribution(path_graph(n + 1)).probs
+    assert path_distribution(22).probs == forest_polynomial(path_graph(23)).probs
     dist = path_distribution(40)
     assert dist.total() == 1
     assert dist.expected_components() == expected_components(path_graph(41))

@@ -111,6 +111,9 @@ def test_components_split_and_relabel():
     tri, edge = components(g)
     assert tri.edges == ((0, 1), (1, 2), (0, 2))
     assert edge.edges == ((0, 1),)
+    # renamed in vertex order, not first-seen order, so edges stay normalized
+    g = from_edge_list(6, [(4, 5), (1, 4), (0, 2)])
+    assert components(g) == [Graph(2, ((0, 1),)), Graph(3, ((1, 2), (0, 1)))]
 
 
 def test_components_skip_isolated_vertices():
@@ -152,6 +155,9 @@ def test_components_partition_the_edges_of_random_graphs():
         g = gnm_random_graph(n, seed * 7 % (n * (n - 1) // 2 + 1), seed)
         pieces = components(g)
         assert all(is_connected(piece) for piece in pieces)
+        assert all(u < v for piece in pieces for u, v in piece.edges)
+        if g.m and is_connected(g):
+            assert pieces == [g]
         assert sum(piece.m for piece in pieces) == g.m
         assert sum(piece.n for piece in pieces) == sum(1 for d in g.degrees() if d)
         assert is_connected(g) == (n <= 1 or (len(pieces) == 1 and pieces[0].n == n))
