@@ -279,8 +279,8 @@ def _cmd_table(ns: argparse.Namespace) -> str:
     for n, classes in search._classes(kind, 2, ns.max_n):
         if ns.verbose:
             print(f"n={n}: {len(classes)} {label}", file=sys.stderr)
-        for key, g in classes:
-            lines.append(_json({"graph6": key, "polynomial": forest_polynomial(g)}))
+        for key, _, dist in search._solved(classes, None):
+            lines.append(_json({"graph6": key, "polynomial": dist}))
     return "\n".join(lines)
 
 

@@ -183,19 +183,22 @@ def cheeger_constant(g: Graph) -> Fraction:
     masks = g.adjacency_masks()
     degs = g.degrees()
     total_vol = 2 * g.m
-    best_num, best_den = 1, 0  # represents +infinity
-    for subset in range(1, 1 << g.n):
-        vol = cut = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            vol += degs[v]
-            cut += (masks[v] & ~subset).bit_count()
-        if 2 * vol > total_vol:
-            continue
-        # compare cut/vol < best_num/best_den without Fraction overhead
-        if best_den == 0 or cut * best_den < best_num * vol:
-            best_num, best_den = cut, vol
+    best_num, best_den = 1, 0  # +infinity: every volume below is positive
+    subset = vol = cut = 0
+    # X and V-X share a cut: visit the X without vertex n-1, divide by the smaller
+    # volume.  Gray-code order: X_i is X_{i-1} with v, the lowest set bit of i, toggled
+    for i in range(1, 1 << (g.n - 1)):
+        v = (i & -i).bit_length() - 1
+        subset ^= 1 << v
+        d = degs[v]
+        # v's edges to the subset leave the cut and the rest join it, or the reverse
+        toggle = d - 2 * (masks[v] & subset).bit_count()
+        if subset >> v & 1:
+            vol, cut = vol + d, cut + toggle
+        else:
+            vol, cut = vol - d, cut - toggle
+        small = vol if 2 * vol <= total_vol else total_vol - vol
+        # compare cut/small < best_num/best_den without Fraction overhead
+        if cut * best_den < best_num * small:
+            best_num, best_den = cut, small
     return Fraction(best_num, best_den)

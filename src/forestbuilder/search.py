@@ -18,7 +18,9 @@ key would: a representative is a canonical form whose graph6 is its key.
 One source, `_classes`, enumerates the classes for every search and for the
 CLI tables, each as its (key, representative) pair, so each key is written
 once.  It checks the size cap once, before building any level, and walks
-`_grow` once, so each level is built once.
+`_grow` once, so each level is built once.  One place, `_solved`, solves
+class laws: it makes each class a (key, representative, p_G) member, and
+the pair finders, the log-concavity sweep and the CLI tables read members.
 Every search reports replayable records: graphs as graph6 strings plus the
 exact polynomials involved.
 """
@@ -139,58 +141,57 @@ class ConjectureReport:
     bipartite_polynomial: ForestDistribution
 
 
-def _corollary4_explains(a: _Class, b: _Class) -> bool:
+# a solved class: its key, its representative and its law p_G
+_Member = tuple[str, Graph, ForestDistribution]
+
+
+def _solved(classes: list[_Class], engine: PolynomialEngine | None) -> list[_Member]:
+    """Each class with its law: the one place searched classes are solved."""
+    return [(key, g, forest_polynomial(g, engine)) for key, g in classes]
+
+
+def _corollary4_explains(a: _Member, b: _Member) -> bool:
     """One graph edge-transitive and the other isomorphic to it minus an edge."""
-    for (_, big), (small_key, small) in ((a, b), (b, a)):
-        if big.m != small.m + 1 or big.m < 2:
-            continue
-        if not is_edge_transitive(big):
-            continue
-        # edge-transitive: all single deletions are isomorphic, test one
-        if canonical_key(big.delete_edge(0)) == small_key:
-            return True
-    return False
-
-
-_Member = tuple[_Class, ForestDistribution]
+    # edge-transitive: all single deletions are isomorphic, test one
+    return any(
+        big.m == small.m + 1
+        and is_edge_transitive(big)
+        and canonical_key(big.delete_edge(0)) == small_key
+        for (_, big, _), (small_key, small, _) in ((a, b), (b, a))
+    )
 
 
 def _bucketed_pairs(
-    classes: list[_Class],
-    engine: PolynomialEngine | None,
-    signature: Callable[[Graph, ForestDistribution], tuple],
+    kind: str, n: int, engine: PolynomialEngine | None, signature: Callable[[_Member], tuple]
 ) -> Iterator[tuple[_Member, _Member]]:
-    """Pairs of classes with equal signatures, as ((key, representative), p_G).
+    """Pairs of solved `kind` classes on n vertices with equal signatures.
 
     Pairs come in signature order, then key order.
     """
     buckets: dict[tuple, list[_Member]] = {}
-    for key, g in classes:
-        dist = forest_polynomial(g, engine)
-        buckets.setdefault(signature(g, dist), []).append(((key, g), dist))
+    for member in _solved(_level(kind, n), engine):
+        buckets.setdefault(signature(member), []).append(member)
     for sig in sorted(buckets):
-        yield from combinations(sorted(buckets[sig], key=lambda item: item[0][0]), 2)
+        yield from combinations(sorted(buckets[sig]), 2)
 
 
-def _pair_reports(classes: list[_Class], engine: PolynomialEngine | None) -> list[PairReport]:
+def _pair_reports(kind: str, n: int, engine: PolynomialEngine | None) -> list[PairReport]:
     return [
-        PairReport(a[0], b[0], dist, _corollary4_explains(a, b))
-        for (a, dist), (b, _) in _bucketed_pairs(
-            classes, engine, lambda g, dist: tuple(sorted(dist.probs.items()))
-        )
+        PairReport(a[0], b[0], a[2], _corollary4_explains(a, b))
+        for a, b in _bucketed_pairs(kind, n, engine, lambda m: tuple(sorted(m[2].probs.items())))
     ]
 
 
-def _edge_degree_sums(g: Graph, _dist: ForestDistribution) -> tuple[int, ...]:
-    degs = g.degrees()
-    return tuple(sorted(degs[u] + degs[v] for u, v in g.edges))
+def _edge_degree_sums(member: _Member) -> tuple[int, ...]:
+    degs = member[1].degrees()
+    return tuple(sorted(degs[u] + degs[v] for u, v in member[1].edges))
 
 
 def find_equal_polynomial_pairs(
     n: int, engine: PolynomialEngine | None = None
 ) -> list[PairReport]:
     """All unordered pairs of connected n-vertex classes sharing a polynomial."""
-    return _pair_reports(_level("connected", n), engine)
+    return _pair_reports("connected", n, engine)
 
 
 def find_edge_degree_twins(
@@ -203,9 +204,7 @@ def find_edge_degree_twins(
     """
     return [
         TwinReport(a, b, expected_components(g), da, db)
-        for ((a, g), da), ((b, _), db) in _bucketed_pairs(
-            _level("connected", n), engine, _edge_degree_sums
-        )
+        for (a, g, da), (b, _, db) in _bucketed_pairs("connected", n, engine, _edge_degree_sums)
         if da.probs != db.probs
     ]
 
@@ -219,26 +218,24 @@ def check_conjecture(k: int, engine: PolynomialEngine | None = None) -> Conjectu
     return ConjectureReport(k, plus.probs == base.probs, plus, base)
 
 
+def _log_concave(dist: ForestDistribution) -> bool:
+    p = dist.coefficient
+    return all(p(k) ** 2 >= p(k - 1) * p(k + 1) for k in range(1, max(dist.probs, default=0) + 1))
+
+
 def check_log_concavity(g: Graph, engine: PolynomialEngine | None = None) -> bool:
     """Whether P(G,k)^2 >= P(G,k-1) P(G,k+1) for every k (missing terms are 0)."""
-    dist = forest_polynomial(g, engine)
-    if not dist.probs:
-        return True
-    top = max(dist.probs)
-    for k in range(1, top + 1):
-        if dist.coefficient(k) ** 2 < dist.coefficient(k - 1) * dist.coefficient(k + 1):
-            return False
-    return True
+    return _log_concave(forest_polynomial(g, engine))
 
 
 def sweep_log_concavity(
     n_max: int, engine: PolynomialEngine | None = None
 ) -> list[Graph]:
     """Log-concavity violations among connected classes on 2..n_max vertices."""
-    graphs = (g for _, level in _classes("connected", 2, n_max) for _, g in level)
-    return [g for g in graphs if not check_log_concavity(g, engine)]
+    solved = (m for _, level in _classes("connected", 2, n_max) for m in _solved(level, engine))
+    return [g for _, g, dist in solved if not _log_concave(dist)]
 
 
 def find_tree_pairs(n: int, engine: PolynomialEngine | None = None) -> list[PairReport]:
     """Pairs of non-isomorphic n-vertex trees with equal polynomials."""
-    return _pair_reports(_level("tree", n), engine)
+    return _pair_reports("tree", n, engine)

@@ -21,6 +21,7 @@ from forestbuilder.families import (
     cycle_graph,
     gnm_random_graph,
     path_graph,
+    random_regular_graph,
     star_graph,
 )
 from forestbuilder.graphs import (
@@ -199,3 +200,36 @@ def test_cheeger_disconnected_and_errors():
         cheeger_constant(Graph(3, ()))
     with pytest.raises(SizeCapExceeded, match="cheeger cap is 20 vertices, got 21"):
         cheeger_constant(Graph(21, ((0, 1),)))
+
+
+def _cheeger_oracle(g):
+    """Oracle: min cut/vol over vol(X) <= vol(V)/2, each subset counted from the edge list."""
+    ratios = []
+    for subset in range(1, 1 << g.n):
+        sides = [(subset >> u & 1, subset >> v & 1) for u, v in g.edges]
+        vol = sum(a + b for a, b in sides)
+        if 0 < vol <= g.m:
+            ratios.append(Fraction(sum(a != b for a, b in sides), vol))
+    return min(ratios)
+
+
+def test_cheeger_matches_oracle_on_small_classes(connected_classes):
+    graphs = [g for level in connected_classes.values() for g in level]
+    assert len(graphs) == 995
+    for g in graphs:
+        assert cheeger_constant(g) == _cheeger_oracle(g), g
+
+
+def test_cheeger_matches_oracle_on_random_graphs():
+    checked = 0
+    for seed in range(100):
+        n = 8 + seed % 5
+        g = gnm_random_graph(n, n + seed % 3 * n // 2, seed)
+        if is_connected(g):
+            assert cheeger_constant(g) == _cheeger_oracle(g), g
+            checked += 1
+    assert checked >= 60
+
+
+def test_cheeger_of_a_20_vertex_cubic_graph():
+    assert cheeger_constant(random_regular_graph(20, 3, 1)) == Fraction(5, 27)

@@ -7,6 +7,7 @@ import pytest
 
 import forestbuilder.search as search
 from forestbuilder.canon import canonical_key, is_edge_transitive
+from forestbuilder.cli import run
 from forestbuilder.engine import expected_components, forest_polynomial
 from forestbuilder.errors import ParameterOutOfRange, SizeCapExceeded
 from forestbuilder.graph6 import parse_graph6, serialize_graph6
@@ -209,6 +210,31 @@ def test_eight_vertex_searches_pinned(monkeypatch, engine, eight_vertex_levels):
     ]
     assert reports[6].shared_polynomial.probs == {1: Fraction(1, 5), 2: Fraction(4, 5)}
     assert len(find_edge_degree_twins(8, engine)) == 30782
+
+
+def test_each_searched_class_is_solved_once(monkeypatch, capsys, engine):
+    # every finder, the sweep and the CLI tables solve class laws only in
+    # search._solved, one evaluation per class: 112 connected classes on 6
+    # vertices, 142 on 2..6, 47 trees on 9 vertices and 47 on 2..8
+    calls = []
+
+    def counting(g, engine=None):
+        calls.append(g)
+        return forest_polynomial(g, engine)
+
+    monkeypatch.setattr(search, "forest_polynomial", counting)
+    for count, search_call in (
+        (112, lambda: find_equal_polynomial_pairs(6, engine)),
+        (112, lambda: find_edge_degree_twins(6, engine)),
+        (47, lambda: find_tree_pairs(9, engine)),
+        (142, lambda: sweep_log_concavity(6, engine)),
+        (47, lambda: run(["table", "trees", "--max-n", "8"])),
+        (142, lambda: run(["table", "small-graphs", "--max-n", "6"])),
+    ):
+        calls.clear()
+        search_call()
+        assert len(calls) == count
+    capsys.readouterr()
 
 
 def test_enumeration_representatives_are_connected_and_ordered():
